@@ -1,7 +1,8 @@
 // Hot-path micro-benchmarks (google-benchmark).
 //
 // Covers the operations whose per-call cost bounds B&B throughput: the
-// scheduling operation (placement), the lower-bound evaluations, the
+// scheduling operation (placement, and place/unplace as the engines pair
+// them), the lower-bound evaluations, the
 // active-set disciplines, the vertex pool, plus end-to-end baselines.
 #include <benchmark/benchmark.h>
 
@@ -37,6 +38,33 @@ void BM_Placement(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.task_count());
 }
 BENCHMARK(BM_Placement);
+
+// The scheduling operation as the engines use it: place → unplace through
+// the incremental evaluator, over every ready × processor child of a
+// mid-depth state (one expansion's children, minus their bounds).
+void BM_PlaceUnplace(benchmark::State& state) {
+  const TaskGraph g = bench_graph(1);
+  const SchedContext ctx(g, make_shared_bus_machine(4));
+  PartialSchedule ps = PartialSchedule::empty(ctx);
+  for (int i = 0; i < ctx.task_count() / 2; ++i) {
+    ps.place(ctx, *ps.ready().begin(), static_cast<ProcId>(i & 3));
+  }
+  IncrementalLB inc(ctx);
+  inc.attach(ps);
+  const TaskSet ready = ps.ready();
+  for (auto _ : state) {
+    for (const TaskId t : ready) {
+      for (ProcId p = 0; p < ctx.proc_count(); ++p) {
+        benchmark::DoNotOptimize(inc.place(ps, t, p));
+        inc.unplace(ps, t);
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * ready.size() *
+                          ctx.proc_count());
+}
+BENCHMARK(BM_PlaceUnplace);
 
 template <LowerBound kBound>
 void BM_LowerBound(benchmark::State& state) {

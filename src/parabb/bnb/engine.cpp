@@ -173,6 +173,9 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   }
 
   IncrementalLB inc(ctx);
+  // Scratch state of the vertex being expanded: the popped parent is copied
+  // straight into it and its children are evaluated in place.
+  PartialSchedule cur;
 
   // Graceful-degradation ladder (robust/degrade.hpp): consulted only at
   // the amortized poll point, and only when enabled with a finite memory
@@ -482,13 +485,12 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       }
 
       const VertexEntry entry = as.pop();
-      const PartialSchedule parent =
-          static_cast<const Vertex*>(pool.get(entry.ref))->state;
+      cur = static_cast<const Vertex*>(pool.get(entry.ref))->state;
       pool.release(entry.ref);
       ++stats.expanded;
-      so.expand(parent.count(), entry.lb);
+      so.expand(cur.count(), entry.lb);
       if (params.trace) {
-        params.trace->record(TraceEvent::kExpand, parent.count(), entry.lb);
+        params.trace->record(TraceEvent::kExpand, cur.count(), entry.lb);
       }
 
       // Step 6-7: branch (rule B) and bound (function L). Children are
@@ -496,8 +498,8 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       // via place → bound → unplace; only survivors are copied, straight into
       // their pool slot.
       staged.clear();
-      const auto tasks = branch_tasks(ctx, branch_rule, parent.ready());
-      const int child_count = parent.count() + 1;
+      const auto tasks = branch_tasks(ctx, branch_rule, cur.ready());
+      const int child_count = cur.count() + 1;
       // When every child is a goal its bound is its exact cost and may beat
       // the incumbent even at or above the BR-relaxed threshold, so the
       // short-circuit must not fire. Likewise keep bounds exact while a
@@ -511,7 +513,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
            params.certify == nullptr)
               ? threshold
               : kTimeInf;
-      PartialSchedule cur = parent;
       inc.attach(cur);
       Time best_goal = kTimeInf;
       PartialSchedule best_goal_state;

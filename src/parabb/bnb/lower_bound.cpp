@@ -90,19 +90,20 @@ void IncrementalLB::attach(const PartialSchedule& ps) noexcept {
   for (ProcId p = 0; p < ctx.proc_count(); ++p) {
     avail_sum_ += Time{ps.proc_avail(p)};
   }
-  worst_sched_ = ps.max_lateness_scheduled(ctx);
+  const TaskSet scheduled = ps.scheduled();
+  worst_sched_ = kTimeNegInf;
+  unsched_work_ = ctx.total_work();
+  for (const TaskId t : scheduled) {
+    const Time f = Time{ps.finish(ctx, t)};
+    fhat_[static_cast<std::size_t>(t)] = f;
+    worst_sched_ = std::max(worst_sched_, f - Time{ctx.deadline(t)});
+    unsched_work_ -= Time{ctx.exec(t)};
+  }
   unsched_topo_ = 0;
   unsched_dl_ = 0;
-  unsched_work_ = 0;
-  const TaskSet scheduled = ps.scheduled();
-  for (TaskId t = 0; t < ctx.task_count(); ++t) {
-    if (scheduled.contains(t)) {
-      fhat_[static_cast<std::size_t>(t)] = Time{ps.finish(ctx, t)};
-    } else {
-      unsched_topo_ |= 1ULL << ctx.topo_rank(t);
-      unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
-      unsched_work_ += Time{ctx.exec(t)};
-    }
+  for (const TaskId t : ctx.all_tasks() - scheduled) {
+    unsched_topo_ |= 1ULL << ctx.topo_rank(t);
+    unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
   }
   depth_ = 0;
 }
@@ -118,21 +119,23 @@ CTime IncrementalLB::place(PartialSchedule& ps, TaskId t, ProcId p) noexcept {
   unsched_dl_ &= ~(1ULL << ctx.deadline_rank(t));
   fhat_[static_cast<std::size_t>(t)] = Time{f};
   PARABB_ASSERT(depth_ <= kMaxTasks);
-  saved_worst_[static_cast<std::size_t>(depth_++)] = worst_sched_;
+  undo_[static_cast<std::size_t>(depth_++)] = Undo{worst_sched_, before, t};
   worst_sched_ = std::max(worst_sched_, Time{f} - Time{ctx.deadline(t)});
   return s;
 }
 
 void IncrementalLB::unplace(PartialSchedule& ps, TaskId t) noexcept {
   const SchedContext& ctx = *ctx_;
-  const CTime before = ps.proc_avail(ps.proc(t));
-  const CTime restored = ps.unplace(ctx, t);
-  avail_sum_ -= Time{before} - Time{restored};
+  PARABB_ASSERT(depth_ > 0);
+  const Undo& undo = undo_[static_cast<std::size_t>(--depth_)];
+  PARABB_ASSERT(undo.task == t);
+  const CTime finish = ps.proc_avail(ps.proc(t));
+  ps.unplace(ctx, t, undo.frontier);
+  avail_sum_ -= Time{finish} - Time{undo.frontier};
   unsched_work_ += Time{ctx.exec(t)};
   unsched_topo_ |= 1ULL << ctx.topo_rank(t);
   unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
-  PARABB_ASSERT(depth_ > 0);
-  worst_sched_ = saved_worst_[static_cast<std::size_t>(--depth_)];
+  worst_sched_ = undo.worst_sched;
 }
 
 Time IncrementalLB::evaluate(const PartialSchedule& ps, LowerBound kind,

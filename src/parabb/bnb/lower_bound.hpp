@@ -57,6 +57,8 @@ Time exact_cost(const SchedContext& ctx, const PartialSchedule& ps);
 ///  * `unsched_work`= Σ exec over unscheduled tasks;
 ///  * `worst_sched` = max lateness over the scheduled prefix (monotone
 ///    under place, so one saved value per nesting level undoes it);
+///  * the placed processor's previous frontier, saved per nesting level
+///    beside `worst_sched`, so PartialSchedule::unplace restores it in O(1);
 ///  * unscheduled-membership bitmasks in topo-rank and deadline-rank
 ///    space, so both evaluation loops visit unscheduled tasks only, in
 ///    the right order, with no sort and no branch per skipped task;
@@ -70,8 +72,9 @@ class IncrementalLB {
  public:
   explicit IncrementalLB(const SchedContext& ctx) noexcept : ctx_(&ctx) {}
 
-  /// Rebinds the scratch to `ps` in O(n + m). Call once per expanded
-  /// parent; subsequent place()/unplace() keep the terms synchronized.
+  /// Rebinds the scratch to `ps` in O(n + m), touching each task once.
+  /// Call once per expanded parent; subsequent place()/unplace() keep the
+  /// terms synchronized.
   void attach(const PartialSchedule& ps) noexcept;
 
   /// Applies ps.place(t, p) and updates every incremental term.
@@ -79,7 +82,7 @@ class IncrementalLB {
   CTime place(PartialSchedule& ps, TaskId t, ProcId p) noexcept;
 
   /// Reverts the most recent not-yet-reverted place() (LIFO nesting, same
-  /// discipline PartialSchedule::unplace already requires).
+  /// discipline PartialSchedule::unplace already requires) in O(1).
   void unplace(PartialSchedule& ps, TaskId t) noexcept;
 
   /// Lower bound of the attached state. When the result is < cutoff it is
@@ -101,8 +104,13 @@ class IncrementalLB {
   std::uint64_t unsched_dl_ = 0;    ///< unscheduled set, bit = deadline rank
   int depth_ = 0;                   ///< place() nesting level
   std::array<Time, kMaxTasks> fhat_{};  ///< f̂; exact finish when scheduled
-  /// worst_sched_ undo stack: the one term place() cannot invert itself.
-  std::array<Time, kMaxTasks + 1> saved_worst_{};
+  /// What place() overwrites and cannot recompute cheaply, per level.
+  struct Undo {
+    Time worst_sched;  ///< worst_sched_ before the placement
+    CTime frontier;    ///< proc_avail of the placed processor before it
+    TaskId task;       ///< the placed task (checks the LIFO discipline)
+  };
+  std::array<Undo, kMaxTasks + 1> undo_{};
 };
 
 }  // namespace parabb

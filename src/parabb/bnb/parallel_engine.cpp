@@ -564,7 +564,7 @@ void worker_loop(Shared& sh, const std::size_t self, SearchStats& stats,
 // ---------------------------------------------------------------------------
 
 /// One search-tree vertex. Lives in a per-worker NodeSlab; the deques store
-/// pointers, so a steal moves 8 bytes instead of a ~250-byte state copy.
+/// pointers, so a steal moves 8 bytes instead of a 224-byte state copy.
 /// `next_free` threads a slab freelist while the node is dead.
 struct WsNode {
   PartialSchedule state;

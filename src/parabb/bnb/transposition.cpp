@@ -14,15 +14,25 @@ struct TranspositionTable::Shard {
   // zero-initialized allocation: fingerprint 0 means "free slot", so
   // construction touches 8 bytes per slot, not the whole memory cap —
   // engines build a table per solve and short searches must not pay for
-  // it. lbs/states are uninitialized until their slot is claimed
-  // (PartialSchedule is an implicit-lifetime type: trivial copy
-  // constructor and destructor).
+  // it. lbs/state_idx are uninitialized until their slot is claimed, and
+  // states until their index is first handed out (PartialSchedule is an
+  // implicit-lifetime type: trivial copy constructor and destructor).
+  // States are stored densely: the n-th claimed slot gets state index n
+  // (entries are only ever replaced, never removed, so the next free index
+  // is used_count), and an eviction overwrites its victim's state in
+  // place. A table that holds k states therefore touches the pages of its
+  // first k states only, however its slots spread over the buckets.
   std::unique_ptr<std::uint64_t[]> fps;
   std::unique_ptr<Time[]> lbs;
+  std::unique_ptr<std::uint32_t[]> state_idx;
   std::unique_ptr<std::byte[]> state_storage;
   PartialSchedule* states = nullptr;
   std::size_t used_count = 0;
   TranspositionCounters counters;
+
+  PartialSchedule& state(std::size_t slot) const noexcept {
+    return states[state_idx[slot]];
+  }
 };
 
 namespace {
@@ -45,15 +55,19 @@ TranspositionTable::TranspositionTable(const TranspositionConfig& config) {
   shard_mask_ = static_cast<std::uint64_t>(shard_count_) - 1;
   const std::size_t total_slots =
       std::max<std::size_t>(config.memory_cap_bytes / kBytesPerSlot, 1);
-  // Power-of-two slot count so probe indices wrap with a mask, and at
-  // least one full bucket per shard.
-  slots_per_shard_ = std::bit_floor(std::max<std::size_t>(
-      total_slots / static_cast<std::size_t>(shard_count_), kProbeWindow));
+  // Power-of-two slot count so probe indices wrap with a mask, at least
+  // one full bucket per shard, and few enough that 32-bit state indices
+  // address every slot.
+  slots_per_shard_ = std::bit_floor(std::clamp<std::size_t>(
+      total_slots / static_cast<std::size_t>(shard_count_), kProbeWindow,
+      std::size_t{1} << 32));
   shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(shard_count_));
   for (int s = 0; s < shard_count_; ++s) {
     Shard& shard = shards_[static_cast<std::size_t>(s)];
     shard.fps = std::make_unique<std::uint64_t[]>(slots_per_shard_);
     shard.lbs = std::make_unique_for_overwrite<Time[]>(slots_per_shard_);
+    shard.state_idx =
+        std::make_unique_for_overwrite<std::uint32_t[]>(slots_per_shard_);
     shard.state_storage = std::make_unique_for_overwrite<std::byte[]>(
         slots_per_shard_ * sizeof(PartialSchedule));
     shard.states = reinterpret_cast<PartialSchedule*>(
@@ -74,7 +88,13 @@ bool TranspositionTable::seen_or_insert(std::uint64_t fp,
   fp = desentinel(fp);
   Shard& shard = shard_for(fp);
   const std::lock_guard lock(shard.mutex);
-  ++shard.counters.probes;
+  return probe(shard, fp, state, lb, shard.counters);
+}
+
+bool TranspositionTable::probe(Shard& shard, std::uint64_t fp,
+                               const PartialSchedule& state, Time lb,
+                               TranspositionCounters& counters) {
+  ++counters.probes;
 
   // The shard index consumed the low bits; pick the bucket from the high
   // ones so the two choices stay independent. Aligning the window to a
@@ -93,42 +113,43 @@ bool TranspositionTable::seen_or_insert(std::uint64_t fp,
       continue;
     }
     if (slot_fp == fp) {
-      if (shard.states[idx] == state) {
+      if (shard.state(idx) == state) {
         if (shard.lbs[idx] <= lb) {
-          ++shard.counters.hits;
+          ++counters.hits;
           return true;
         }
         // Re-seen with a strictly better bound: remember the improvement
         // so later duplicates are measured against the best-known bound.
         shard.lbs[idx] = lb;
-        ++shard.counters.misses;
+        ++counters.misses;
         return false;
       }
-      ++shard.counters.collisions;  // 64-bit collision: equality saved us
+      ++counters.collisions;  // 64-bit collision: equality saved us
     }
     if (worst == kNone || shard.lbs[idx] > shard.lbs[worst]) worst = idx;
   }
 
-  ++shard.counters.misses;
+  ++counters.misses;
+  std::size_t slot = free_slot;
   if (free_slot != kNone) {
-    shard.fps[free_slot] = fp;
-    shard.lbs[free_slot] = lb;
-    shard.states[free_slot] = state;
-    ++shard.used_count;
-    ++shard.counters.inserts;
-    return false;
-  }
-  // Bucket full: replace-if-better, keyed on the bound — promising
-  // (low-bound) states are the ones the search will regenerate most.
-  PARABB_ASSERT(worst != kNone);
-  if (lb < shard.lbs[worst]) {
-    shard.fps[worst] = fp;
-    shard.lbs[worst] = lb;
-    shard.states[worst] = state;
-    ++shard.counters.evictions;
+    // The n-th claimed slot of a shard gets state index n.
+    shard.state_idx[slot] = static_cast<std::uint32_t>(shard.used_count++);
+    ++counters.inserts;
   } else {
-    ++shard.counters.rejected;
+    // Bucket full: replace-if-better, keyed on the bound — promising
+    // (low-bound) states are the ones the search will regenerate most.
+    // The newcomer takes over the victim's state index.
+    PARABB_ASSERT(worst != kNone);
+    if (lb >= shard.lbs[worst]) {
+      ++counters.rejected;
+      return false;
+    }
+    slot = worst;
+    ++counters.evictions;
   }
+  shard.fps[slot] = fp;
+  shard.lbs[slot] = lb;
+  shard.state(slot) = state;
   return false;
 }
 
@@ -172,7 +193,7 @@ void TranspositionTable::for_each_entry(
     const Shard& shard = shards_[static_cast<std::size_t>(s)];
     const std::lock_guard lock(shard.mutex);
     for (std::size_t i = 0; i < slots_per_shard_; ++i)
-      if (shard.fps[i] != 0) fn(shard.states[i], shard.lbs[i]);
+      if (shard.fps[i] != 0) fn(shard.state(i), shard.lbs[i]);
   }
 }
 
@@ -180,35 +201,8 @@ void TranspositionTable::preload(const PartialSchedule& state, Time lb) {
   const std::uint64_t fp = desentinel(state.fingerprint());
   Shard& shard = shard_for(fp);
   const std::lock_guard lock(shard.mutex);
-  const std::size_t slot_mask = slots_per_shard_ - 1;
-  const std::size_t base =
-      (static_cast<std::size_t>(fp >> 10) & slot_mask) & ~(kProbeWindow - 1);
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t free_slot = kNone;
-  std::size_t worst = kNone;
-  for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    const std::size_t idx = base + i;
-    const std::uint64_t slot_fp = shard.fps[idx];
-    if (slot_fp == 0) {
-      if (free_slot == kNone) free_slot = idx;
-      continue;
-    }
-    if (slot_fp == fp && shard.states[idx] == state) {
-      if (lb < shard.lbs[idx]) shard.lbs[idx] = lb;
-      return;
-    }
-    if (worst == kNone || shard.lbs[idx] > shard.lbs[worst]) worst = idx;
-  }
-  if (free_slot != kNone) {
-    shard.fps[free_slot] = fp;
-    shard.lbs[free_slot] = lb;
-    shard.states[free_slot] = state;
-    ++shard.used_count;
-  } else if (worst != kNone && lb < shard.lbs[worst]) {
-    shard.fps[worst] = fp;
-    shard.lbs[worst] = lb;
-    shard.states[worst] = state;
-  }
+  TranspositionCounters uncounted;
+  probe(shard, fp, state, lb, uncounted);
 }
 
 void TranspositionTable::add_counters(const TranspositionCounters& prior) {

@@ -15,12 +15,15 @@
 // a shard, open addressing over fixed-capacity buckets of 8 slots. The
 // slot data is split into parallel arrays so the common probe (miss or
 // fingerprint mismatch) reads exactly one cache line: a bucket's eight
-// 64-bit fingerprints are contiguous and 64-byte aligned; bounds and full
-// states live in sibling arrays touched only on a fingerprint match or an
-// insert. Capacity is fixed up front from the memory cap, so table memory
-// stays bounded no matter how large the search grows; a full bucket
-// evicts its worst-bound (largest lb) entry when the new state's bound is
-// better, and rejects the insertion otherwise (replace-if-better).
+// 64-bit fingerprints are contiguous and 64-byte aligned; bounds and
+// 32-bit state indices live in sibling arrays touched only on a
+// fingerprint match or an insert, and the full states in a per-shard
+// array filled densely in insertion order, so resident memory follows the
+// number of stored states rather than the capacity. Capacity is fixed up
+// front from the memory cap, so table memory stays bounded no matter how
+// large the search grows; a full bucket evicts its worst-bound (largest
+// lb) entry when the new state's bound is better, and rejects the
+// insertion otherwise (replace-if-better).
 //
 // A fingerprint match falls back to PartialSchedule::operator== before
 // declaring a duplicate, so a 64-bit collision costs one comparison
@@ -118,13 +121,23 @@ class TranspositionTable {
 
   /// Slots per bucket; a bucket of fingerprints is one 64-byte cache line.
   static constexpr std::size_t kProbeWindow = 8;
-  /// fp (8) + lb (8) + state, summed across the parallel arrays.
+  /// fp (8) + lb (8) + state index (4) + state, summed across the
+  /// parallel arrays.
   static constexpr std::size_t kBytesPerSlot =
-      sizeof(std::uint64_t) + sizeof(Time) + sizeof(PartialSchedule);
+      sizeof(std::uint64_t) + sizeof(Time) + sizeof(std::uint32_t) +
+      sizeof(PartialSchedule);
+  // The table's capacity under a fixed memory cap depends on this size
+  // (slots per shard are rounded down to a power of two, so a few bytes
+  // can halve or double it); a layout change must be a deliberate one.
+  static_assert(sizeof(PartialSchedule) == 224);
 
   static_assert(std::is_trivially_copyable_v<PartialSchedule>);
 
   Shard& shard_for(std::uint64_t fp) const noexcept;
+
+  /// seen_or_insert on a locked shard, counting into `counters`.
+  bool probe(Shard& shard, std::uint64_t fp, const PartialSchedule& state,
+             Time lb, TranspositionCounters& counters);
 
   std::unique_ptr<Shard[]> shards_;
   int shard_count_ = 1;

@@ -50,6 +50,8 @@ SchedContext::SchedContext(const TaskGraph& graph, const Machine& machine)
   pred_comm_.resize(pred_off_[un]);
   succ_task_.resize(succ_off_[un]);
   succ_comm_.resize(succ_off_[un]);
+  pred_mask_.assign(un, TaskSet{});
+  succ_mask_.assign(un, TaskSet{});
 
   for (TaskId t = 0; t < n_; ++t) {
     std::size_t p = pred_off_[idx(t)];
@@ -57,6 +59,7 @@ SchedContext::SchedContext(const TaskGraph& graph, const Machine& machine)
       pred_task_[p] = a.other;
       pred_comm_[p] = narrow_time(machine.comm.delay(a.items),
                                   "communication delay");
+      pred_mask_[idx(t)].insert(a.other);
       ++p;
     }
     std::size_t s = succ_off_[idx(t)];
@@ -64,6 +67,7 @@ SchedContext::SchedContext(const TaskGraph& graph, const Machine& machine)
       succ_task_[s] = a.other;
       succ_comm_[s] = narrow_time(machine.comm.delay(a.items),
                                   "communication delay");
+      succ_mask_[idx(t)].insert(a.other);
       ++s;
     }
     if (graph.preds(t).empty()) initial_ready_.insert(t);

@@ -63,6 +63,11 @@ class SchedContext {
     return static_cast<int>(pred_ids(t).size());
   }
 
+  /// Direct predecessors / successors of t as sets: t becomes ready
+  /// exactly when pred_mask(t) is a subset of the scheduled set.
+  TaskSet pred_mask(TaskId t) const noexcept { return pred_mask_[idx(t)]; }
+  TaskSet succ_mask(TaskId t) const noexcept { return succ_mask_[idx(t)]; }
+
   /// Hop multiplier between two processors (0 on the diagonal): the
   /// nominal delay of a message is pred_comm[k] × hop(p, q).
   CTime hop(ProcId p, ProcId q) const noexcept {
@@ -142,6 +147,7 @@ class SchedContext {
   std::vector<std::size_t> pred_off_, succ_off_;
   std::vector<TaskId> pred_task_, succ_task_;
   std::vector<CTime> pred_comm_, succ_comm_;
+  std::vector<TaskSet> pred_mask_, succ_mask_;
   std::array<CTime, static_cast<std::size_t>(kMaxProcs) * kMaxProcs> hop_{};
   TaskSet initial_ready_;
 };

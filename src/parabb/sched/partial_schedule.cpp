@@ -19,10 +19,6 @@ constexpr auto kPlacementKeys =
 PartialSchedule PartialSchedule::empty(const SchedContext& ctx) {
   PartialSchedule ps;
   ps.ready_ = ctx.initial_ready();
-  for (TaskId t = 0; t < ctx.task_count(); ++t) {
-    ps.missing_preds_[static_cast<std::size_t>(t)] =
-        static_cast<std::int8_t>(ctx.pred_count(t));
-  }
   return ps;
 }
 
@@ -63,15 +59,20 @@ CTime PartialSchedule::place(const SchedContext& ctx, TaskId t,
   scheduled_.insert(t);
   ready_.erase(t);
   ++count_;
-  for (const TaskId succ : ctx.succ_ids(t)) {
-    const auto us = static_cast<std::size_t>(succ);
-    if (--missing_preds_[us] == 0) ready_.insert(succ);
+  // A successor becomes ready once its whole predecessor set is scheduled;
+  // none of t's successors can be scheduled yet, so no other test is needed.
+  std::uint64_t freed = 0;
+  for (const TaskId succ : ctx.succ_mask(t)) {
+    freed |= std::uint64_t{ctx.pred_mask(succ).is_subset_of(scheduled_)}
+             << succ;
   }
+  ready_ = ready_ | TaskSet(freed);
   hash_ ^= placement_key(t, p, s);
   return s;
 }
 
-CTime PartialSchedule::unplace(const SchedContext& ctx, TaskId t) noexcept {
+void PartialSchedule::unplace(const SchedContext& ctx, TaskId t,
+                              CTime restored_frontier) noexcept {
   PARABB_ASSERT(scheduled_.contains(t));
   const auto ut = static_cast<std::size_t>(t);
   const ProcId p = proc_[ut];
@@ -80,26 +81,17 @@ CTime PartialSchedule::unplace(const SchedContext& ctx, TaskId t) noexcept {
   // operation, so only the last appended task can be peeled off) and none
   // of its successors has been scheduled on the strength of it.
   PARABB_ASSERT(avail_[up] == start_[ut] + ctx.exec(t));
+  PARABB_ASSERT(restored_frontier <= start_[ut]);
+  const TaskSet succs = ctx.succ_mask(t);
+  PARABB_ASSERT(!succs.intersects(scheduled_));
   hash_ ^= placement_key(t, p, start_[ut]);
   scheduled_.erase(t);
+  // Every ready successor was readied by t's placement (t was among its
+  // predecessors), so all of them lose readiness again.
+  ready_ = ready_ - succs;
   ready_.insert(t);
   --count_;
-  for (const TaskId succ : ctx.succ_ids(t)) {
-    PARABB_ASSERT(!scheduled_.contains(succ));
-    const auto us = static_cast<std::size_t>(succ);
-    if (missing_preds_[us]++ == 0) ready_.erase(succ);
-  }
-  // The frontier reverts to the latest remaining finish on p (0 when the
-  // processor becomes empty again, matching the empty-schedule state).
-  CTime frontier = 0;
-  for (const TaskId other : scheduled_) {
-    const auto uo = static_cast<std::size_t>(other);
-    if (proc_[uo] == p) {
-      frontier = std::max(frontier, start_[uo] + ctx.exec(other));
-    }
-  }
-  avail_[up] = frontier;
-  return frontier;
+  avail_[up] = restored_frontier;
 }
 
 std::uint64_t PartialSchedule::fingerprint_from_scratch() const noexcept {

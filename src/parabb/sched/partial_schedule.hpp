@@ -11,8 +11,9 @@
 //    makes the operation non-commutative and the full permutation search
 //    necessary).
 //
-// The type is a trivially-copyable fixed-capacity value (~250 bytes) so that
-// millions of search vertices stay pool-friendly and memcpy-cheap.
+// The type is a trivially-copyable fixed-capacity value (224 bytes; pinned
+// by a static_assert in bnb/transposition.hpp) so that millions of search
+// vertices stay pool-friendly and memcpy-cheap.
 #pragma once
 
 #include <array>
@@ -70,13 +71,16 @@ class PartialSchedule {
   /// Returns the assigned start time. Updates the ready set.
   CTime place(const SchedContext& ctx, TaskId t, ProcId p) noexcept;
 
-  /// Undoes a placement. Only legal when the scheduling operation is still
-  /// reversible: t must be the last task appended to its processor and no
-  /// successor of t may be scheduled (both asserted). Restores the ready
-  /// set, the processor frontier, and the incremental fingerprint.
-  /// Returns the restored frontier of t's processor, so incremental
-  /// evaluators can update availability sums without a second lookup.
-  CTime unplace(const SchedContext& ctx, TaskId t) noexcept;
+  /// Undoes a placement in O(1). Only legal when the scheduling operation
+  /// is still reversible: t must be the last task appended to its
+  /// processor and no successor of t may be scheduled (both asserted).
+  /// `restored_frontier` is proc_avail(proc(t)) as it was just before the
+  /// matching place() — the caller's undo record; a processor's frontier
+  /// cannot be recomputed from the placement set without a scan. Restores
+  /// the ready set, the processor frontier, and the incremental
+  /// fingerprint.
+  void unplace(const SchedContext& ctx, TaskId t,
+               CTime restored_frontier) noexcept;
 
   /// Canonical 64-bit state fingerprint: XOR over every scheduled task of
   /// a Zobrist-style key derived from (task, processor, start time).
@@ -107,7 +111,6 @@ class PartialSchedule {
   std::array<CTime, kMaxTasks> start_{};
   std::array<CTime, kMaxProcs> avail_{};
   std::array<std::int8_t, kMaxTasks> proc_{};
-  std::array<std::int8_t, kMaxTasks> missing_preds_{};
   std::int16_t count_ = 0;
   std::uint64_t hash_ = 0;  ///< incremental Zobrist fingerprint
 };

@@ -2,7 +2,8 @@
 //
 // The branch-and-bound hot path manipulates "scheduled" and "ready" sets on
 // every vertex expansion; a machine word with bit tricks keeps those
-// operations branch-free and allocation-free (kMaxTasks == 64).
+// operations branch-free and allocation-free. The word holds 64 ids, more
+// than kMaxTasks (32) needs.
 #pragma once
 
 #include <bit>

@@ -15,6 +15,7 @@
 #include "parabb/sched/validator.hpp"
 #include "parabb/support/rng.hpp"
 #include "parabb/workload/generator.hpp"
+#include "test_util.hpp"
 
 namespace parabb {
 namespace {
@@ -193,10 +194,17 @@ TEST_P(Fuzz, TranspositionSoundUnderForcedCollisionsAndEviction) {
 
     std::map<std::vector<std::int64_t>, Time> best_probed;
     PartialSchedule ps = PartialSchedule::empty(ctx);
-    std::vector<TaskId> stack;
+    struct Placed {
+      TaskId task;
+      PartialSchedule before;
+    };
+    std::vector<Placed> stack;
     for (int op = 0; op < 300; ++op) {
       if (!stack.empty() && (ps.complete(ctx) || rng.chance(0.35))) {
-        ps.unplace(ctx, stack.back());
+        const Placed& top = stack.back();
+        ps.unplace(ctx, top.task, top.before.proc_avail(ps.proc(top.task)));
+        test::expect_same_state(ctx, ps, top.before);
+        ASSERT_FALSE(HasFailure());
         stack.pop_back();
       } else {
         const TaskSet ready = ps.ready();
@@ -209,12 +217,13 @@ TEST_P(Fuzz, TranspositionSoundUnderForcedCollisionsAndEviction) {
             break;
           }
         }
+        stack.push_back(Placed{t, ps});
         ps.place(ctx, t,
                  static_cast<ProcId>(rng.index(
                      static_cast<std::size_t>(ctx.proc_count()))));
-        stack.push_back(t);
       }
       ASSERT_EQ(ps.fingerprint(), ps.fingerprint_from_scratch());
+      ASSERT_EQ(ps.ready().bits(), test::ready_from_scratch(ctx, ps).bits());
 
       const std::uint64_t degraded = ps.fingerprint() & 0x3;
       const Time lb = static_cast<Time>(rng.uniform_int(-5, 15));

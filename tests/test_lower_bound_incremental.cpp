@@ -26,15 +26,23 @@ constexpr LowerBound kAllBounds[] = {LowerBound::kLB0, LowerBound::kLB1,
 
 /// One random place/unplace walk over `ctx`, asserting at every step that
 /// the maintained incremental evaluator and a freshly attached one both
-/// agree with lower_bound_cost for all three bound functions.
+/// agree with lower_bound_cost for all three bound functions, that the
+/// ready set matches its from-scratch definition, and that every unplace
+/// restores exactly the state the matching place started from.
 void run_walk(const SchedContext& ctx, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   PartialSchedule ps = PartialSchedule::empty(ctx);
   IncrementalLB inc(ctx);
   inc.attach(ps);
-  std::vector<TaskId> placed;  // LIFO discipline, as unplace requires
+  struct Placed {
+    TaskId task;
+    PartialSchedule before;
+  };
+  std::vector<Placed> placed;  // LIFO discipline, as unplace requires
 
   const auto check_all = [&] {
+    ASSERT_EQ(ps.ready().bits(), test::ready_from_scratch(ctx, ps).bits())
+        << "ready set diverged, depth=" << ps.count();
     for (const LowerBound kind : kAllBounds) {
       const Time expect = lower_bound_cost(ctx, ps, kind);
       ASSERT_EQ(inc.evaluate(ps, kind), expect)
@@ -62,10 +70,12 @@ void run_walk(const SchedContext& ctx, std::uint64_t seed) {
       const TaskId t = candidates[rng() % candidates.size()];
       const ProcId p =
           static_cast<ProcId>(rng() % static_cast<unsigned>(ctx.proc_count()));
+      placed.push_back(Placed{t, ps});
       inc.place(ps, t, p);
-      placed.push_back(t);
     } else {
-      inc.unplace(ps, placed.back());
+      inc.unplace(ps, placed.back().task);
+      test::expect_same_state(ctx, ps, placed.back().before);
+      if (::testing::Test::HasFailure()) return;
       placed.pop_back();
     }
     check_all();

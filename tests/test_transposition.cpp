@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "parabb/bnb/brute_force.hpp"
 #include "parabb/bnb/engine.hpp"
+#include "parabb/ckpt/snapshot.hpp"
 #include "parabb/sched/validator.hpp"
 #include "parabb/support/rng.hpp"
+#include "parabb/verify/certificate.hpp"
 #include "test_util.hpp"
 
 namespace parabb {
@@ -59,9 +64,12 @@ TEST(Fingerprint, IncrementalMatchesScratchAfterEveryExtendAndUndo) {
     EXPECT_EQ(ps.fingerprint(), ps.fingerprint_from_scratch());
 
     std::vector<std::pair<TaskId, ProcId>> moves = random_walk(ctx, ps, rng);
-    // Re-play to check after every extension (random_walk already placed).
+    // Re-play to check after every extension (random_walk already placed),
+    // saving each frontier the undo below must restore.
     PartialSchedule replay = PartialSchedule::empty(ctx);
+    std::vector<CTime> frontiers;
     for (const auto& [t, p] : moves) {
+      frontiers.push_back(replay.proc_avail(p));
       replay.place(ctx, t, p);
       EXPECT_EQ(replay.fingerprint(), replay.fingerprint_from_scratch());
       EXPECT_NE(replay.fingerprint(), 0u);
@@ -69,8 +77,8 @@ TEST(Fingerprint, IncrementalMatchesScratchAfterEveryExtendAndUndo) {
     EXPECT_EQ(replay.fingerprint(), ps.fingerprint());
 
     // Undo in reverse order; the incremental hash must track exactly.
-    for (auto it = moves.rbegin(); it != moves.rend(); ++it) {
-      ps.unplace(ctx, it->first);
+    for (std::size_t i = moves.size(); i-- > 0;) {
+      ps.unplace(ctx, moves[i].first, frontiers[i]);
       EXPECT_EQ(ps.fingerprint(), ps.fingerprint_from_scratch());
     }
     EXPECT_EQ(ps.fingerprint(), 0u);
@@ -109,7 +117,7 @@ TEST(Fingerprint, UnplaceRestoresReadySetAndFrontier) {
   const PartialSchedule before = ps;
   ps.place(ctx, 0, 0);  // "a" unlocks b and c
   EXPECT_NE(ps.ready().bits(), before.ready().bits());
-  ps.unplace(ctx, 0);
+  ps.unplace(ctx, 0, before.proc_avail(0));
   EXPECT_TRUE(ps == before);
   EXPECT_EQ(ps.ready().bits(), before.ready().bits());
   EXPECT_EQ(ps.fingerprint(), 0u);
@@ -217,17 +225,12 @@ TEST(TranspositionTable, ClearDropsEntriesButKeepsCounters) {
   EXPECT_EQ(tt.counters().probes, 2u);
 }
 
-TEST(TranspositionTable, ConcurrentProbesAreConsistent) {
-  const TaskGraph g = test::independent_tasks(6);
-  const SchedContext ctx = test::make_ctx(g, 3);
-  TranspositionTable tt(tiny_config(/*cap_bytes=*/1 << 20, /*shards=*/8));
-
-  // Pre-generate a pool of states (every prefix of a few random walks);
-  // all threads then offer the whole pool at the same bound, so every
-  // probe after the first for a given state must be a hit.
+/// Every prefix of `walks` random full walks: a pool of states in which
+/// shared prefixes make re-probes of one state common.
+std::vector<PartialSchedule> prefix_pool(const SchedContext& ctx, Rng& rng,
+                                         int walks) {
   std::vector<PartialSchedule> states;
-  Rng rng(0xc0ffee);
-  for (int w = 0; w < 12; ++w) {
+  for (int w = 0; w < walks; ++w) {
     PartialSchedule ps = PartialSchedule::empty(ctx);
     const auto moves = random_walk(ctx, ps, rng);
     PartialSchedule prefix = PartialSchedule::empty(ctx);
@@ -236,6 +239,125 @@ TEST(TranspositionTable, ConcurrentProbesAreConsistent) {
       states.push_back(prefix);
     }
   }
+  return states;
+}
+
+using EntryMap = std::map<std::uint64_t, std::pair<PartialSchedule, Time>>;
+
+/// The table's live entries, keyed by fingerprint. A 64-bit collision
+/// between two live states would fail the uniqueness check, not pass.
+EntryMap live_entries(const TranspositionTable& tt) {
+  EntryMap out;
+  tt.for_each_entry([&](const PartialSchedule& s, Time lb) {
+    EXPECT_EQ(s.fingerprint(), s.fingerprint_from_scratch());
+    EXPECT_TRUE(out.emplace(s.fingerprint(), std::pair{s, lb}).second)
+        << "state listed twice";
+  });
+  return out;
+}
+
+void expect_same_entries(const EntryMap& got, const EntryMap& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [fp, entry] : want) {
+    const auto it = got.find(fp);
+    ASSERT_TRUE(it != got.end()) << "entry missing";
+    EXPECT_TRUE(it->second.first == entry.first);
+    EXPECT_EQ(it->second.second, entry.second);
+  }
+}
+
+// States are stored densely and evictions reuse their victim's storage, so
+// for_each_entry must still list exactly the live (state, lb) pairs. The
+// single-bucket table is modelled by a reference map: bounds are drawn
+// without repetition, so the eviction victim (the worst bound) is unique.
+TEST(TranspositionTable, ForEachEntryListsLiveEntriesUnderEvictionAndClear) {
+  const TaskGraph g = test::independent_tasks(6);
+  const SchedContext ctx = test::make_ctx(g, 2);
+  TranspositionTable tt(tiny_config(/*cap_bytes=*/1, /*shards=*/1));
+  ASSERT_EQ(tt.capacity(), 8u);
+
+  Rng rng(0xde5e);
+  const std::vector<PartialSchedule> pool = prefix_pool(ctx, rng, 6);
+  std::vector<Time> bounds(2000);
+  for (std::size_t i = 0; i < bounds.size(); ++i)
+    bounds[i] = static_cast<Time>(i);
+  rng.shuffle(std::span<Time>(bounds));
+
+  EntryMap ref;
+  std::uint64_t evictions = 0;
+  for (std::size_t op = 0; op < bounds.size(); ++op) {
+    if (op == bounds.size() / 2) {
+      tt.clear();
+      ref.clear();
+      EXPECT_TRUE(live_entries(tt).empty());
+    }
+    const PartialSchedule& s = pool[rng.index(pool.size())];
+    const Time lb = bounds[op];
+    const auto it = ref.find(s.fingerprint());
+    bool expect_hit = false;
+    if (it != ref.end()) {
+      expect_hit = it->second.second <= lb;
+      if (!expect_hit) it->second.second = lb;
+    } else if (ref.size() < tt.capacity()) {
+      ref.emplace(s.fingerprint(), std::pair{s, lb});
+    } else {
+      const auto worst = std::max_element(
+          ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+            return a.second.second < b.second.second;
+          });
+      if (lb < worst->second.second) {
+        ref.erase(worst);
+        ref.emplace(s.fingerprint(), std::pair{s, lb});
+        ++evictions;
+      }
+    }
+    ASSERT_EQ(tt.seen_or_insert(s, lb), expect_hit) << "op " << op;
+    expect_same_entries(live_entries(tt), ref);
+    ASSERT_FALSE(HasFailure()) << "op " << op;
+    EXPECT_EQ(tt.size(), ref.size());
+  }
+  EXPECT_GT(evictions, 0u);
+  EXPECT_EQ(tt.counters().evictions, evictions);
+}
+
+// A snapshot's warm entries (placement paths, as a checkpoint stores them)
+// restore every entry through preload, whether the table is one bucket
+// under eviction or spread over several shards.
+TEST(TranspositionTable, PreloadRestoresEveryExportedEntry) {
+  const TaskGraph g = test::independent_tasks(6);
+  const SchedContext ctx = test::make_ctx(g, 3);
+  Rng rng(0x9e10);
+  const std::vector<PartialSchedule> pool = prefix_pool(ctx, rng, 40);
+  for (const TranspositionConfig cfg :
+       {tiny_config(/*cap_bytes=*/1, /*shards=*/1), tiny_config()}) {
+    TranspositionTable tt(cfg);
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      tt.seen_or_insert(pool[i], static_cast<Time>(rng.uniform_int(0, 50)));
+    const EntryMap exported = live_entries(tt);
+    ASSERT_EQ(exported.size(), tt.size());
+
+    std::vector<SnapshotTTEntry> warm;
+    tt.for_each_entry([&](const PartialSchedule& s, Time lb) {
+      warm.push_back(SnapshotTTEntry{placement_path(ctx, s), lb});
+    });
+    TranspositionTable restored(cfg);
+    for (const SnapshotTTEntry& e : warm)
+      restored.preload(replay_path(ctx, e.path), e.lb);
+    expect_same_entries(live_entries(restored), exported);
+    EXPECT_EQ(restored.counters().probes, 0u);  // preload is not search work
+  }
+}
+
+TEST(TranspositionTable, ConcurrentProbesAreConsistent) {
+  const TaskGraph g = test::independent_tasks(6);
+  const SchedContext ctx = test::make_ctx(g, 3);
+  TranspositionTable tt(tiny_config(/*cap_bytes=*/1 << 20, /*shards=*/8));
+
+  // Pre-generate a pool of states (every prefix of a few random walks);
+  // all threads then offer the whole pool at the same bound, so every
+  // probe after the first for a given state must be a hit.
+  Rng rng(0xc0ffee);
+  const std::vector<PartialSchedule> states = prefix_pool(ctx, rng, 12);
 
   constexpr int kThreads = 8;
   std::atomic<std::uint64_t> pruned{0};

@@ -1,12 +1,15 @@
 // Shared fixtures and helpers for the ParaBB test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <vector>
 
 #include "parabb/deadline/slicing.hpp"
 #include "parabb/platform/machine.hpp"
 #include "parabb/sched/context.hpp"
+#include "parabb/sched/partial_schedule.hpp"
 #include "parabb/taskgraph/builder.hpp"
 #include "parabb/taskgraph/graph.hpp"
 #include "parabb/workload/generator.hpp"
@@ -68,6 +71,35 @@ inline TaskGraph tight_instance(std::uint64_t seed) {
 
 inline SchedContext make_ctx(const TaskGraph& g, int procs) {
   return SchedContext(g, make_shared_bus_machine(procs));
+}
+
+/// The ready set recomputed from the graph's arcs: every unscheduled task
+/// whose direct predecessors are all scheduled. Oracle for
+/// PartialSchedule::ready(), which is maintained incrementally.
+inline TaskSet ready_from_scratch(const SchedContext& ctx,
+                                  const PartialSchedule& ps) {
+  TaskSet ready;
+  for (const TaskId t : ctx.all_tasks() - ps.scheduled()) {
+    bool all_preds = true;
+    for (const TaskId j : ctx.pred_ids(t))
+      all_preds = all_preds && ps.scheduled().contains(j);
+    if (all_preds) ready.insert(t);
+  }
+  return ready;
+}
+
+/// Checks that `got` is exactly `want`, the copy taken before the place()
+/// an unplace() has just reverted: the placement set, the ready set, every
+/// processor frontier and the incremental fingerprint.
+inline void expect_same_state(const SchedContext& ctx,
+                              const PartialSchedule& got,
+                              const PartialSchedule& want) {
+  EXPECT_TRUE(got == want);
+  EXPECT_EQ(got.ready().bits(), want.ready().bits());
+  for (ProcId q = 0; q < ctx.proc_count(); ++q)
+    EXPECT_EQ(got.proc_avail(q), want.proc_avail(q)) << "processor " << q;
+  EXPECT_EQ(got.fingerprint(), want.fingerprint());
+  EXPECT_EQ(got.fingerprint(), got.fingerprint_from_scratch());
 }
 
 }  // namespace parabb::test
