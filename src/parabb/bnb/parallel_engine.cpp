@@ -37,6 +37,20 @@ struct WorkItem {
   Time lb = 0;
 };
 
+/// Generated vertices a worker accumulates before folding them into
+/// Shared::generated (docs/algorithm.md "Shared counters and the generated
+/// budget").
+constexpr std::uint64_t kGeneratedFlushChunk = 4096;
+
+/// One worker's generated count, alone on its cache line and written only
+/// by its owner. `count` is stored after every expansion and summed by the
+/// exact-regime stop check; `folded`, the part of it already added to
+/// Shared::generated, is read by the owner alone.
+struct alignas(64) GeneratedSlot {
+  std::atomic<std::uint64_t> count{0};
+  std::uint64_t folded = 0;
+};
+
 /// Shared search state. The incumbent cost is mirrored in an atomic so the
 /// per-vertex bound test never takes a lock.
 struct Shared {
@@ -57,12 +71,27 @@ struct Shared {
   int idle = 0;       ///< workers currently without work (under queue_mutex)
   bool done = false;  ///< search finished (under queue_mutex)
 
-  std::atomic<bool> stop{false};  ///< time limit / cancel / budget tripped
+  /// Time limit / cancel / budget tripped. Read on every expansion and
+  /// written once, so it gets a cache line of its own.
+  alignas(64) std::atomic<bool> stop{false};
   /// Why `stop` was raised; the first cause wins (compare-exchange).
   std::atomic<TerminationReason> stop_reason{TerminationReason::kExhausted};
-  /// Generated vertices across all workers, for RB.max_generated. One
-  /// relaxed add per expansion (batched), invisible next to expansion cost.
-  std::atomic<std::uint64_t> generated{0};
+
+  // --- generated budget (RB.max_generated) ------------------------------
+  // Each worker publishes its running count to its own GeneratedSlot after
+  // every expansion and folds it into `generated` only in chunks (a full
+  // kGeneratedFlushChunk, the 256-expansion poll, exit). `generated` thus
+  // trails the true total by less than threads x chunk, and while it is
+  // below `exact_from` the budget check reads nothing else. From there on
+  // (always, when faults are armed) the check sums the slots, which lag
+  // the true total only by the expansions in flight.
+  /// Resumed base plus every folded chunk; its line is written once per
+  /// chunk and otherwise read-only.
+  alignas(64) std::atomic<std::uint64_t> generated{0};
+  std::uint64_t generated_base = 0;  ///< carried over from a resumed run
+  std::uint64_t exact_from = 0;      ///< `generated` value that ends chunking
+  /// Slot 0 is the seeding phase's, slots 1..threads the workers'.
+  std::vector<GeneratedSlot> gen_slots;
 
   /// Shared duplicate-state table (null when disabled). Lock-striped
   /// internally, so workers probe it without a global lock.
@@ -138,6 +167,37 @@ struct Shared {
     }
     effective_branch.store(p.branch, std::memory_order_relaxed);
     tt_live.store(tt.get(), std::memory_order_relaxed);
+  }
+
+  void init_generated(int threads) {
+    gen_slots =
+        std::vector<GeneratedSlot>(static_cast<std::size_t>(threads) + 1);
+    const std::uint64_t margin =
+        2 * static_cast<std::uint64_t>(threads) * kGeneratedFlushChunk;
+    const std::uint64_t cap = params.rb.max_generated;
+    exact_from = params.faults != nullptr || cap <= margin ? 0 : cap - margin;
+  }
+
+  /// After an expansion: publish the owner's running count and fold it
+  /// once a full chunk is pending.
+  void publish(GeneratedSlot& slot, std::uint64_t count) {
+    slot.count.store(count, std::memory_order_relaxed);
+    if (count - slot.folded >= kGeneratedFlushChunk) fold(slot, count);
+  }
+
+  void fold(GeneratedSlot& slot, std::uint64_t count) {
+    if (count == slot.folded) return;
+    generated.fetch_add(count - slot.folded, std::memory_order_relaxed);
+    slot.folded = count;
+  }
+
+  /// Every completed expansion's children, summed over the published slots.
+  std::uint64_t generated_total() const {
+    std::uint64_t sum = generated_base;
+    for (const GeneratedSlot& s : gen_slots) {
+      sum += s.count.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
 
   void init_ladder(int threads) {
@@ -218,9 +278,8 @@ struct Shared {
       ++stats.degrade_steps;
       so.degrade(cur, static_cast<std::int64_t>(action));
       if (params.certify) {
-        params.certify->record_degrade(
-            to_string(action), generated.load(std::memory_order_relaxed),
-            cur);
+        params.certify->record_degrade(to_string(action), generated_total(),
+                                       cur);
       }
     }
     // Ladder spent and still over budget: the cliff is all that is left.
@@ -259,14 +318,15 @@ struct Shared {
       request_stop(TerminationReason::kCancelled);
       return true;
     }
-    if (params.faults &&
-        params.faults->cancel_requested(
-            generated.load(std::memory_order_relaxed))) {
+    // Chunked regime: `generated` is within threads x chunk of the true
+    // total, which is therefore still below the cap.
+    if (generated.load(std::memory_order_relaxed) < exact_from) return false;
+    const std::uint64_t gen = generated_total();
+    if (params.faults && params.faults->cancel_requested(gen)) {
       request_stop(TerminationReason::kCancelled);
       return true;
     }
-    if (generated.load(std::memory_order_relaxed) >=
-        params.rb.max_generated) {
+    if (gen >= params.rb.max_generated) {
       request_stop(TerminationReason::kBudget);
       return true;
     }
@@ -314,24 +374,25 @@ InlineVector<TaskId, kMaxTasks> branch_tasks(const SchedContext& ctx,
 /// Core of one vertex expansion, shared by both schedulers and the seeding
 /// phase. Goals update the incumbent; each surviving child is handed to
 /// `emit(state, lb)` in generation order (callers order them afterwards).
-/// Zero-copy: candidates are evaluated via place → bound → unplace on one
-/// scratch state; `emit` decides where survivors get copied.
+/// Zero-copy: candidates are evaluated via place → bound → unplace on the
+/// caller's private vertex `cur`, which is restored on return (left with one
+/// child placed if `emit` throws; every caller then discards it); `emit`
+/// decides where survivors get copied.
 template <typename Emit>
-void expand_children(Shared& sh, IncrementalLB& inc,
-                     const PartialSchedule& parent, Time parent_lb,
-                     SearchStats& stats, SearchObs& so, Emit&& emit) {
+void expand_children(Shared& sh, IncrementalLB& inc, PartialSchedule& cur,
+                     Time parent_lb, SearchStats& stats, SearchObs& so,
+                     GeneratedSlot& gen_slot, Emit&& emit) {
   ++stats.expanded;
-  so.expand(parent.count(), parent_lb);
+  so.expand(cur.count(), parent_lb);
   const Time threshold = sh.threshold();
   // Goal children need their exact cost (offer_goal compares it to the
   // incumbent directly), so the short-circuit may not fire on them.
-  const bool goal_children = parent.count() + 1 == sh.ctx.task_count();
+  const bool goal_children = cur.count() + 1 == sh.ctx.task_count();
   const Time cutoff =
       (sh.params.incremental_lb && sh.params.elim == ElimRule::kUDBAS &&
        !goal_children && sh.params.certify == nullptr)
           ? threshold
           : kTimeInf;
-  PartialSchedule cur = parent;
   inc.attach(cur);
   std::uint64_t generated_here = 0;
   TranspositionTable* const tt = sh.table();
@@ -376,8 +437,7 @@ void expand_children(Shared& sh, IncrementalLB& inc,
         }
       } else {
         if (sh.params.faults) {
-          sh.params.faults->on_alloc(
-              sh.generated.load(std::memory_order_relaxed) + generated_here);
+          sh.params.faults->on_alloc(sh.generated_total() + generated_here);
         }
         emit(cur, lb);
         ++stats.activated;
@@ -385,17 +445,16 @@ void expand_children(Shared& sh, IncrementalLB& inc,
       inc.unplace(cur, t);
     }
   }
-  if (generated_here > 0) {
-    sh.generated.fetch_add(generated_here, std::memory_order_relaxed);
-  }
+  if (generated_here > 0) sh.publish(gen_slot, stats.generated);
 }
 
 /// Central-queue expansion: surviving children are appended to `out`
 /// worst-bound-first (pop-back then explores best-first).
-void expand(Shared& sh, IncrementalLB& inc, const WorkItem& item,
-            std::vector<WorkItem>& out, SearchStats& stats, SearchObs& so) {
+void expand(Shared& sh, IncrementalLB& inc, WorkItem& item,
+            std::vector<WorkItem>& out, SearchStats& stats, SearchObs& so,
+            GeneratedSlot& gen_slot) {
   const std::size_t base = out.size();
-  expand_children(sh, inc, item.state, item.lb, stats, so,
+  expand_children(sh, inc, item.state, item.lb, stats, so, gen_slot,
                   [&](const PartialSchedule& s, Time lb) {
                     out.push_back(WorkItem{s, lb});
                   });
@@ -427,7 +486,9 @@ void worker_loop(Shared& sh, const std::size_t self, SearchStats& stats,
   IncrementalLB inc(sh.ctx);  // private scratch: no shared mutable state
   std::uint64_t iter = 0;
   std::uint64_t ckpt_seen = 0;  // last checkpoint epoch this worker joined
+  GeneratedSlot& gen_slot = sh.gen_slots[self + 1];
   const auto leave = [&] {
+    sh.fold(gen_slot, stats.generated);
     sh.done = true;
     sh.queue_cv.notify_all();
     if (sh.params.ckpt != nullptr) {
@@ -488,7 +549,7 @@ void worker_loop(Shared& sh, const std::size_t self, SearchStats& stats,
         local.clear();
         break;
       }
-      const WorkItem item = std::move(local.back());
+      WorkItem item = std::move(local.back());
       local.pop_back();
       const Time pop_threshold = sh.threshold();
       if (sh.params.elim == ElimRule::kUDBAS && item.lb >= pop_threshold) {
@@ -504,7 +565,7 @@ void worker_loop(Shared& sh, const std::size_t self, SearchStats& stats,
         continue;
       }
       try {
-        expand(sh, inc, item, local, stats, so);
+        expand(sh, inc, item, local, stats, so, gen_slot);
       } catch (const std::bad_alloc&) {
         // Injected or genuine allocation failure mid-expansion: surface
         // it as the budget cliff. The dive loop's stop branch disposes
@@ -518,8 +579,8 @@ void worker_loop(Shared& sh, const std::size_t self, SearchStats& stats,
       // Amortized metrics flush, mirroring the sequential engine's
       // 256-expansion polling cadence.
       if ((++iter & 0xFFu) == 0) {
-        const std::uint64_t gen =
-            sh.generated.load(std::memory_order_relaxed);
+        sh.fold(gen_slot, stats.generated);
+        const std::uint64_t gen = sh.generated_total();
         so.budget_checkpoint(static_cast<std::int64_t>(gen));
         if (sh.params.progress) {
           sh.params.progress->store(gen, std::memory_order_relaxed);
@@ -665,12 +726,14 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
       self * 2654435761u + 1));
   std::uint64_t iter = 0;
   std::uint64_t ckpt_seen = 0;  // last checkpoint epoch this worker joined
+  GeneratedSlot& gen_slot = sh.gen_slots[self + 1];
 
   const auto pop_own = [&]() -> WsNode* {
     WsNode* n = nullptr;
     return mine.pop_bottom(n) ? n : nullptr;
   };
   const auto finish = [&] {
+    sh.fold(gen_slot, stats.generated);
     if (sh.params.ckpt != nullptr) {
       sh.ckpt_alive.fetch_sub(1, std::memory_order_relaxed);
     }
@@ -737,7 +800,7 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
       staged.clear();
       bool alloc_failed = false;
       try {
-        expand_children(sh, inc, cur->state, cur->lb, stats, so,
+        expand_children(sh, inc, cur->state, cur->lb, stats, so, gen_slot,
                         [&](const PartialSchedule& s, Time lb) {
                           WsNode* const n = slab.alloc();
                           n->state = s;
@@ -787,8 +850,8 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
       if ((++iter & 0xFFu) == 0) {
         const std::size_t depth = mine.size_hint() + 1;  // + the in-hand one
         stats.peak_active = std::max(stats.peak_active, depth);
-        const std::uint64_t gen =
-            sh.generated.load(std::memory_order_relaxed);
+        sh.fold(gen_slot, stats.generated);
+        const std::uint64_t gen = sh.generated_total();
         so.budget_checkpoint(static_cast<std::int64_t>(gen));
         if (sh.params.progress) {
           sh.params.progress->store(gen, std::memory_order_relaxed);
@@ -923,6 +986,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
 
   Shared sh(ctx, pp.base);
   sh.total_threads = threads;
+  sh.init_generated(threads);
   sh.init_ladder(threads);
 
   // --- Crash-safe checkpoint/resume (ckpt/snapshot.hpp). Both paths are
@@ -990,7 +1054,8 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
     resume_base.seconds = 0.0;
     // The generated budget keeps counting across restarts, and fault
     // injection points stay aligned with the uninterrupted run.
-    sh.generated.store(snap.stats.generated);
+    sh.generated_base = snap.stats.generated;
+    sh.generated.store(snap.stats.generated, std::memory_order_relaxed);
     // Replay the degradation rungs the interrupted run had already fired,
     // without re-counting them (stats/certificate carry them already).
     if (sh.ladder_on) {
@@ -1058,10 +1123,11 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
     root.lb = lower_bound_cost(ctx, root.state, pp.base.lb);
     seeds.push_back(std::move(root));
     std::vector<WorkItem> buf;
+    GeneratedSlot& seed_slot = sh.gen_slots[0];
     while (!seeds.empty() &&
            seeds.size() < static_cast<std::size_t>(threads) * 4) {
       if (sh.should_stop()) break;
-      const WorkItem item = std::move(seeds.front());
+      WorkItem item = std::move(seeds.front());
       seeds.pop_front();
       const Time seed_threshold = sh.threshold();
       if (pp.base.elim == ElimRule::kUDBAS && item.lb >= seed_threshold) {
@@ -1077,7 +1143,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
       }
       buf.clear();
       try {
-        expand(sh, seed_inc, item, buf, seed_stats, seed_so);
+        expand(sh, seed_inc, item, buf, seed_stats, seed_so, seed_slot);
       } catch (const std::bad_alloc&) {
         sh.request_stop(TerminationReason::kBudget);
         break;
@@ -1087,6 +1153,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
           std::max(seed_stats.peak_memory_bytes,
                    seeds.size() * sizeof(WorkItem));
     }
+    sh.fold(seed_slot, seed_stats.generated);
   }
   seed_so.flush(seed_stats);
 
@@ -1256,8 +1323,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
         while (!ctl.done.load() && !sh.stop.load()) {
           double elapsed = resume_seconds + watch.seconds();
           if (pp.base.faults) {
-            elapsed += pp.base.faults->clock_skew_s(
-                sh.generated.load(std::memory_order_relaxed));
+            elapsed += pp.base.faults->clock_skew_s(sh.generated_total());
           }
           if (elapsed >= limit) {
             sh.request_stop(TerminationReason::kTimeLimit);
@@ -1307,8 +1373,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
           if (central_done()) break;
           double elapsed = resume_seconds + watch.seconds();
           if (pp.base.faults) {
-            elapsed += pp.base.faults->clock_skew_s(
-                sh.generated.load(std::memory_order_relaxed));
+            elapsed += pp.base.faults->clock_skew_s(sh.generated_total());
           }
           if (elapsed >= limit) {
             sh.request_stop(TerminationReason::kTimeLimit);

@@ -27,9 +27,13 @@
 // until there is at least one frontier vertex per worker. The returned
 // cost is identical to the sequential engine's under either scheduler;
 // the number of searched vertices varies run-to-run because incumbent
-// improvements propagate asynchronously. Cancellation, the time limit,
-// and the generated budget (PR 2/PR 3 semantics) are polled per expanded
-// vertex under both schedulers.
+// improvements propagate asynchronously. Cancellation is polled per
+// expanded vertex and the time limit by a supervisor thread. The generated
+// budget is counted per worker and checked per expanded vertex: against a
+// chunked shared total while the cap is far, against the exact sum of the
+// workers' counts near it. A budget stop never fires below the cap and
+// overshoots it by at most one expansion per worker (docs/algorithm.md,
+// "Shared counters and the generated budget").
 #pragma once
 
 #include <cstdint>

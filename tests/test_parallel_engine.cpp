@@ -91,6 +91,45 @@ TEST(ParallelEngine, GeneratedBudgetTerminates) {
   }
 }
 
+// The generated budget's contract at every width and under both
+// schedulers: a kBudget stop never fires before the summed count reaches
+// the cap, and each worker overshoots it by at most the one expansion it
+// had in flight (n x m children). The budgets span both accounting
+// regimes: the small ones stay within 2 x threads x flush-chunk of the
+// cap from the start, while 50'000 (at 2 and 4 threads) and 200'000 begin
+// chunked and cross into the exact regime mid-search.
+TEST(ParallelEngine, GeneratedBudgetContract) {
+  const TaskGraph g = test::tight_instance(7);
+  const SchedContext ctx = test::make_ctx(g, 4);
+  const std::uint64_t per_expansion =
+      static_cast<std::uint64_t>(ctx.task_count()) *
+      static_cast<std::uint64_t>(ctx.proc_count());
+  for (const std::uint64_t budget :
+       {1ull, 3ull, 100ull, 5000ull, 50'000ull, 200'000ull}) {
+    for (const int threads : {2, 4, 8}) {
+      for (const ParallelScheduler sched :
+           {ParallelScheduler::kWorkStealing,
+            ParallelScheduler::kCentralQueue}) {
+        ParallelParams pp;
+        pp.threads = threads;
+        pp.scheduler = sched;
+        pp.base.rb.max_generated = budget;
+        const ParallelResult r = solve_bnb_parallel(ctx, pp);
+        const std::string where = "budget " + std::to_string(budget) +
+                                  " threads " + std::to_string(threads) +
+                                  " " + to_string(sched);
+        // The instance is far larger than every budget, so each run stops
+        // on the cap rather than exhausting.
+        ASSERT_EQ(r.reason, TerminationReason::kBudget) << where;
+        EXPECT_GE(r.stats.generated, budget) << where;
+        EXPECT_LT(r.stats.generated,
+                  budget + static_cast<std::uint64_t>(threads) * per_expansion)
+            << where;
+      }
+    }
+  }
+}
+
 TEST(ParallelEngine, CancelTokenStopsAllWorkers) {
   const TaskGraph g = test::paper_instance(27);
   const SchedContext ctx = test::make_ctx(g, 4);
