@@ -1,7 +1,7 @@
 // Watching the branch-and-bound search unfold.
 //
-// Attaches a SearchTrace to a small optimal search and summarizes the
-// event stream: the dive profile (expansions per level), the incumbent
+// Attaches a flight recorder (obs/recorder.hpp) to a small optimal search
+// and summarizes the event stream: the dive profile (expansions per level), the incumbent
 // trajectory, and where pruning concentrated. A compact way to *see* why
 // LIFO works: goals appear almost immediately and the incumbent rachets
 // down within the first few hundred events.
@@ -9,10 +9,13 @@
 //   $ ./trace_search [--procs 2] [--tail 25]
 #include <array>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "parabb/bnb/engine.hpp"
-#include "parabb/bnb/trace.hpp"
 #include "parabb/deadline/slicing.hpp"
+#include "parabb/obs/observe.hpp"
+#include "parabb/obs/recorder.hpp"
 #include "parabb/support/cli.hpp"
 #include "parabb/support/table.hpp"
 #include "parabb/workload/generator.hpp"
@@ -36,32 +39,43 @@ int main(int argc, char** argv) {
       gen.graph,
       make_shared_bus_machine(static_cast<int>(parser.get_int("procs"))));
 
-  SearchTrace trace(1u << 22);
+  // The sequential engine records into channel 0; a ring this large keeps
+  // every event of the search.
+  FlightRecorder recorder(std::size_t{1} << 22);
+  Observation observe;
+  observe.recorder = &recorder;
   Params params;
-  params.trace = &trace;
+  params.observe = &observe;
   const SearchResult r = solve_bnb(ctx, params);
+  const FlightChannel& events = recorder.channel(0);
+  if (events.dropped() > 0) {
+    std::printf("(the ring dropped the oldest %llu events; the summaries "
+                "below cover the rest)\n",
+                static_cast<unsigned long long>(events.dropped()));
+  }
 
   std::printf("instance: %d tasks on %d processors; optimal lateness %lld "
               "(%s), %llu events recorded\n\n",
               ctx.task_count(), ctx.proc_count(),
               static_cast<long long>(r.best_cost),
               r.proved ? "proved" : "unproved",
-              static_cast<unsigned long long>(trace.total_events()));
+              static_cast<unsigned long long>(events.total()));
 
   // Dive profile: expansions per level.
   std::array<std::uint64_t, kMaxTasks + 1> expands_per_level{};
   std::vector<std::pair<std::uint64_t, Time>> incumbents;
   std::uint64_t prunes = 0;
-  for (const TraceRecord& rec : trace.chronological()) {
-    switch (rec.event) {
-      case TraceEvent::kExpand:
-        ++expands_per_level[static_cast<std::size_t>(rec.level)];
+  const std::vector<FlightEvent> log = events.chronological();
+  for (const FlightEvent& e : log) {
+    switch (e.kind) {
+      case FlightEventKind::kExpand:
+        ++expands_per_level[static_cast<std::size_t>(e.level)];
         break;
-      case TraceEvent::kIncumbent:
-        incumbents.emplace_back(rec.index, rec.value);
+      case FlightEventKind::kIncumbent:
+        incumbents.emplace_back(e.seq, e.value);
         break;
-      case TraceEvent::kPruneChild:
-        ++prunes;
+      case FlightEventKind::kPrune:
+        if (e.level >= 0) ++prunes;  // level -1: active-set removals
         break;
       default:
         break;
@@ -100,14 +114,17 @@ int main(int argc, char** argv) {
                   : 0.0);
 
   const auto tail = static_cast<std::size_t>(parser.get_int("tail"));
-  const auto log = trace.chronological();
   std::printf("\nlast %zu events:\n", std::min(tail, log.size()));
   for (std::size_t i = log.size() > tail ? log.size() - tail : 0;
        i < log.size(); ++i) {
-    std::printf("  #%-8llu %-12s level=%-3d value=%lld\n",
-                static_cast<unsigned long long>(log[i].index),
-                to_string(log[i].event).c_str(), log[i].level,
-                static_cast<long long>(log[i].value));
+    const FlightEvent& e = log[i];
+    const std::string what =
+        e.kind == FlightEventKind::kPrune
+            ? to_string(e.kind) + "/" + to_string(e.rule)
+            : to_string(e.kind);
+    std::printf("  #%-8llu %-18s level=%-3d value=%lld\n",
+                static_cast<unsigned long long>(e.seq), what.c_str(),
+                e.level, static_cast<long long>(e.value));
   }
   return 0;
 }

@@ -11,7 +11,6 @@
 #include "parabb/bnb/certify.hpp"
 #include "parabb/bnb/lower_bound.hpp"
 #include "parabb/bnb/search_obs.hpp"
-#include "parabb/bnb/trace.hpp"
 #include "parabb/bnb/transposition.hpp"
 #include "parabb/bnb/vertex.hpp"
 #include "parabb/ckpt/checkpoint.hpp"
@@ -33,18 +32,6 @@ Time prune_threshold(Time incumbent, double br) {
   return incumbent - margin;
 }
 
-namespace {
-
-/// A child that survived the filters: bounded, already living in its pool
-/// slot. The slot is allocated the moment the child survives (one copy,
-/// straight from the scratch state); pruned children are never copied.
-struct StagedChild {
-  Time lb = 0;
-  int order = 0;  ///< generation index, for deterministic tie-breaking
-  SlotRef ref;
-};
-
-/// Tasks the branching rule B expands from `ready` (§3.3).
 InlineVector<TaskId, kMaxTasks> branch_tasks(const SchedContext& ctx,
                                              BranchRule rule, TaskSet ready) {
   InlineVector<TaskId, kMaxTasks> out;
@@ -73,6 +60,17 @@ InlineVector<TaskId, kMaxTasks> branch_tasks(const SchedContext& ctx,
   PARABB_ASSERT(!out.empty());
   return out;
 }
+
+namespace {
+
+/// A child that survived the filters: bounded, already living in its pool
+/// slot. The slot is allocated the moment the child survives (one copy,
+/// straight from the scratch state); pruned children are never copied.
+struct StagedChild {
+  Time lb = 0;
+  int order = 0;  ///< generation index, for deterministic tie-breaking
+  SlotRef ref;
+};
 
 }  // namespace
 
@@ -489,9 +487,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       pool.release(entry.ref);
       ++stats.expanded;
       so.expand(cur.count(), entry.lb);
-      if (params.trace) {
-        params.trace->record(TraceEvent::kExpand, cur.count(), entry.lb);
-      }
 
       // Step 6-7: branch (rule B) and bound (function L). Children are
       // evaluated zero-copy: one scratch state per expansion, each candidate
@@ -502,15 +497,13 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       const int child_count = cur.count() + 1;
       // When every child is a goal its bound is its exact cost and may beat
       // the incumbent even at or above the BR-relaxed threshold, so the
-      // short-circuit must not fire. Likewise keep bounds exact while a
-      // trace listens (it records lb values of pruned children), under
-      // E = none (pruned-vs-kept is not decided by the threshold alone),
+      // short-circuit must not fire. Likewise keep bounds exact under
+      // E = none (pruned-vs-kept is not decided by the threshold alone)
       // and while certifying (the audit log must carry exact bounds).
       const bool goal_children = child_count == ctx.task_count();
       const Time cutoff =
           (params.incremental_lb && params.elim == ElimRule::kUDBAS &&
-           !goal_children && params.trace == nullptr &&
-           params.certify == nullptr)
+           !goal_children && params.certify == nullptr)
               ? threshold
               : kTimeInf;
       inc.attach(cur);
@@ -536,9 +529,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
           if (goal_children) {
             // Goal vertex: candidate new upper-bound solution (Figure 2).
             ++stats.goals;
-            if (params.trace) {
-              params.trace->record(TraceEvent::kGoal, child_count, lb);
-            }
             if (lb < best_goal) {
               best_goal = lb;
               best_goal_state = cur;
@@ -548,9 +538,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
                      !params.characteristic(ctx, cur)) {
             ++stats.pruned_children;  // F: cannot extend to a valid solution
             so.prune(FlightPruneRule::kCharacteristic, child_count, lb);
-            if (params.trace) {
-              params.trace->record(TraceEvent::kPruneChild, child_count, lb);
-            }
             if (params.certify) {
               params.certify->record_cut(ctx, cur, CutRule::kCharacteristic,
                                          lb);
@@ -558,9 +545,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
           } else if (params.elim == ElimRule::kUDBAS && lb >= threshold) {
             ++stats.pruned_children;  // E applied to DB
             so.prune(FlightPruneRule::kBound, child_count, lb);
-            if (params.trace) {
-              params.trace->record(TraceEvent::kPruneChild, child_count, lb);
-            }
             if (params.certify) {
               params.certify->record_cut(
                   ctx, cur, bound_cut_rule(ctx, cur, params.lb, threshold),
@@ -569,10 +553,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
           } else if (tt && tt->seen_or_insert(cur, lb)) {
             ++stats.pruned_children;  // duplicate of an already-seen state
             so.prune(FlightPruneRule::kTransposition, child_count, lb);
-            if (params.trace) {
-              params.trace->record(TraceEvent::kTransposition, child_count,
-                                   lb);
-            }
             if (params.certify) {
               params.certify->record_cut(ctx, cur, CutRule::kTransposition,
                                          lb);
@@ -601,10 +581,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         ++stats.goal_updates;
         improved = true;
         so.incumbent(ctx.task_count(), incumbent);
-        if (params.trace) {
-          params.trace->record(TraceEvent::kIncumbent, ctx.task_count(),
-                               incumbent);
-        }
       }
 
       // D: optional pairwise dominance filter among siblings.
@@ -629,10 +605,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
           } else {
             ++stats.pruned_children;
             so.prune(FlightPruneRule::kDominance, child_count, staged[i].lb);
-            if (params.trace) {
-              params.trace->record(TraceEvent::kPruneChild, child_count,
-                                   staged[i].lb);
-            }
             if (params.certify) {
               params.certify->record_cut(ctx, state_of(staged[i]),
                                          CutRule::kDominance, staged[i].lb);
@@ -657,18 +629,11 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
           so.prune(FlightPruneRule::kBound, -1,
                    static_cast<std::int64_t>(removed));
         }
-        if (params.trace && removed > 0) {
-          params.trace->record(TraceEvent::kPruneActive, -1,
-                               static_cast<Time>(removed));
-        }
         // Staged children were bounded against the stale threshold.
         std::erase_if(staged, [&](const StagedChild& c) {
           if (c.lb < fresh) return false;
           ++stats.pruned_children;
           so.prune(FlightPruneRule::kBound, child_count, c.lb);
-          if (params.trace) {
-            params.trace->record(TraceEvent::kPruneChild, child_count, c.lb);
-          }
           if (params.certify) {
             const auto* v = static_cast<const Vertex*>(pool.get(c.ref));
             params.certify->record_cut(
@@ -696,9 +661,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         as.push(VertexEntry{c.lb, next_seq, c.ref});
         ++next_seq;
         ++stats.activated;
-        if (params.trace) {
-          params.trace->record(TraceEvent::kActivate, child_count, c.lb);
-        }
       }
 
       // RB.MAXSZAS: dispose of the worst active vertices when over budget.
@@ -713,10 +675,6 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         stats.disposed += dropped;
         so.dispose(static_cast<std::int64_t>(dropped));
         compromised = true;
-        if (params.trace) {
-          params.trace->record(TraceEvent::kDispose, -1,
-                               static_cast<Time>(dropped));
-        }
       }
 
       stats.peak_active = std::max(stats.peak_active, as.size());

@@ -9,6 +9,7 @@
 
 #include "parabb/bnb/params.hpp"
 #include "parabb/sched/schedule.hpp"
+#include "parabb/support/inline_vector.hpp"
 
 namespace parabb {
 
@@ -41,9 +42,9 @@ struct SearchStats {
   std::uint64_t tt_misses = 0;       ///< table probes that found no duplicate
   std::uint64_t tt_evictions = 0;    ///< table entries replaced (memory cap)
   std::uint64_t tt_collisions = 0;   ///< equal fingerprint, unequal state
-  /// Work-stealing scheduler only (zero for the sequential engine and the
-  /// central-queue scheduler): victim-deque probes by idle workers, and
-  /// probes that came back with at least one vertex.
+  /// Parallel engine only (zero for the sequential engine): victim-deque
+  /// probes by idle workers, and probes that came back with at least one
+  /// vertex.
   std::uint64_t steals_attempted = 0;
   std::uint64_t steals_succeeded = 0;
   /// Degradation-ladder rungs applied (robust/degrade.hpp); zero unless
@@ -85,5 +86,10 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params);
 /// incumbent cost and the BR inaccuracy limit: vertices with
 /// lb >= incumbent - floor(br*|incumbent|) are pruned. Exposed for tests.
 Time prune_threshold(Time incumbent, double br);
+
+/// Tasks the branching rule B expands from a non-empty `ready` set (§3.3),
+/// in the order both engines generate children.
+InlineVector<TaskId, kMaxTasks> branch_tasks(const SchedContext& ctx,
+                                             BranchRule rule, TaskSet ready);
 
 }  // namespace parabb

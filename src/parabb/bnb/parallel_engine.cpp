@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -25,7 +24,6 @@
 #include "parabb/robust/fault.hpp"
 #include "parabb/sched/edf.hpp"
 #include "parabb/support/assert.hpp"
-#include "parabb/support/inline_vector.hpp"
 #include "parabb/support/timer.hpp"
 #include "parabb/support/ws_deque.hpp"
 
@@ -62,14 +60,6 @@ struct Shared {
   std::mutex best_mutex;
   PartialSchedule best_state;
   bool found = false;
-
-  // Central-queue scheduler state (unused under work stealing).
-  std::mutex queue_mutex;
-  std::condition_variable queue_cv;
-  std::deque<WorkItem> queue;
-  std::atomic<std::size_t> queue_hint{0};  ///< approximate queue size
-  int idle = 0;       ///< workers currently without work (under queue_mutex)
-  bool done = false;  ///< search finished (under queue_mutex)
 
   /// Time limit / cancel / budget tripped. Read on every expansion and
   /// written once, so it gets a cache line of its own.
@@ -123,12 +113,12 @@ struct Shared {
   // copy, and then *pauses* until the supervisor finishes serializing.
   // The pause is what makes the frontier complete: once a worker has
   // dumped, it neither consumes nor produces vertices until the release,
-  // so every vertex live at serialize time is in some dump slot (or the
-  // central queue) — a steal landing after the victim's dump merely
-  // duplicates an already-captured entry, which resume re-explores
-  // harmlessly. `ckpt_alive` counts workers that have not exited, so a
-  // worker leaving mid-quiesce (search exhausted or stopped) cannot hang
-  // the supervisor; its slot keeps the previous epoch tag and is skipped.
+  // so every vertex live at serialize time is in some dump slot — a steal
+  // landing after the victim's dump merely duplicates an already-captured
+  // entry, which resume re-explores harmlessly. `ckpt_alive` counts
+  // workers that have not exited, so a worker leaving mid-quiesce (search
+  // exhausted or stopped) cannot hang the supervisor; its slot keeps the
+  // previous epoch tag and is skipped.
   // With params.ckpt == nullptr none of this state is touched.
   struct CkptDump {
     std::uint64_t epoch = 0;  ///< epoch this slot was written for
@@ -226,6 +216,36 @@ struct Shared {
                      : std::numeric_limits<int>::max();
   }
 
+  /// Applies one rung's effect. The live ladder (maybe_degrade) also
+  /// accounts the rung; resume replay must not, because the snapshot's
+  /// stats and certificate already carry it.
+  void apply_rung(DegradeAction action) {
+    switch (action) {
+      case DegradeAction::kShedTT:
+        tt_live.store(nullptr, std::memory_order_relaxed);
+        if (tt) tt->clear();  // duplicate pruning only: completeness kept
+        break;
+      case DegradeAction::kTightenDB:
+        effective_children.store(
+            std::max(1, ctx.proc_count() *
+                            params.degrade.tightened_children_per_proc),
+            std::memory_order_relaxed);
+        degraded_incomplete.store(true, std::memory_order_relaxed);
+        break;
+      case DegradeAction::kBF1: {
+        BranchRule expected = BranchRule::kBFn;
+        effective_branch.compare_exchange_strong(
+            expected, BranchRule::kBF1, std::memory_order_relaxed);
+        degraded_incomplete.store(true, std::memory_order_relaxed);
+        break;
+      }
+      case DegradeAction::kDF:
+        effective_branch.store(BranchRule::kDF, std::memory_order_relaxed);
+        degraded_incomplete.store(true, std::memory_order_relaxed);
+        break;
+    }
+  }
+
   /// Ladder poll (flush cadence): publish this worker's resident bytes,
   /// escalate while the cross-worker total sits above the next rung, and
   /// fall off the budget cliff once the ladder is spent. Rung application
@@ -250,30 +270,7 @@ struct Shared {
       }
       const DegradeAction action =
           degrade_sched.rungs[static_cast<std::size_t>(cur)].action;
-      switch (action) {
-        case DegradeAction::kShedTT:
-          tt_live.store(nullptr, std::memory_order_relaxed);
-          if (tt) tt->clear();  // duplicate pruning only: completeness kept
-          break;
-        case DegradeAction::kTightenDB:
-          effective_children.store(
-              std::max(1, ctx.proc_count() *
-                              params.degrade.tightened_children_per_proc),
-              std::memory_order_relaxed);
-          degraded_incomplete.store(true, std::memory_order_relaxed);
-          break;
-        case DegradeAction::kBF1: {
-          BranchRule expected = BranchRule::kBFn;
-          effective_branch.compare_exchange_strong(
-              expected, BranchRule::kBF1, std::memory_order_relaxed);
-          degraded_incomplete.store(true, std::memory_order_relaxed);
-          break;
-        }
-        case DegradeAction::kDF:
-          effective_branch.store(BranchRule::kDF, std::memory_order_relaxed);
-          degraded_incomplete.store(true, std::memory_order_relaxed);
-          break;
-      }
+      apply_rung(action);
       ++cur;
       ++stats.degrade_steps;
       so.degrade(cur, static_cast<std::int64_t>(action));
@@ -295,20 +292,13 @@ struct Shared {
   }
 
   /// Raises `stop` with reason `r`; the first caller's reason sticks.
-  /// The flag is set under `queue_mutex`: a bare store + notify could land
-  /// between a central worker's wait-predicate check and its actual block,
-  /// and that worker would sleep through the wakeup forever (missed-wakeup
-  /// race). Work-stealing workers park on a *timed* wait instead, so for
-  /// them the relaxed flag alone is enough.
+  /// No notify is needed: starved workers park on a timed wait and
+  /// re-read the flag within one park period.
   void request_stop(TerminationReason r) {
     TerminationReason expected = TerminationReason::kExhausted;
     stop_reason.compare_exchange_strong(expected, r,
                                         std::memory_order_relaxed);
-    {
-      const std::lock_guard lock(queue_mutex);
-      stop.store(true);
-    }
-    queue_cv.notify_all();
+    stop.store(true);
   }
 
   /// Cancellation / generated-budget poll, called once per expanded vertex.
@@ -346,32 +336,7 @@ struct Shared {
   }
 };
 
-InlineVector<TaskId, kMaxTasks> branch_tasks(const SchedContext& ctx,
-                                             BranchRule rule, TaskSet ready) {
-  InlineVector<TaskId, kMaxTasks> out;
-  switch (rule) {
-    case BranchRule::kBFn:
-      for (const TaskId t : ready) out.push_back(t);
-      break;
-    case BranchRule::kBF1:
-      for (const TaskId t : ctx.level_order())
-        if (ready.contains(t)) {
-          out.push_back(t);
-          break;
-        }
-      break;
-    case BranchRule::kDF:
-      for (const TaskId t : ctx.dfs_order())
-        if (ready.contains(t)) {
-          out.push_back(t);
-          break;
-        }
-      break;
-  }
-  return out;
-}
-
-/// Core of one vertex expansion, shared by both schedulers and the seeding
+/// Core of one vertex expansion, shared by the workers and the seeding
 /// phase. Goals update the incumbent; each surviving child is handed to
 /// `emit(state, lb)` in generation order (callers order them afterwards).
 /// Zero-copy: candidates are evaluated via place → bound → unplace on the
@@ -448,182 +413,6 @@ void expand_children(Shared& sh, IncrementalLB& inc, PartialSchedule& cur,
   if (generated_here > 0) sh.publish(gen_slot, stats.generated);
 }
 
-/// Central-queue expansion: surviving children are appended to `out`
-/// worst-bound-first (pop-back then explores best-first).
-void expand(Shared& sh, IncrementalLB& inc, WorkItem& item,
-            std::vector<WorkItem>& out, SearchStats& stats, SearchObs& so,
-            GeneratedSlot& gen_slot) {
-  const std::size_t base = out.size();
-  expand_children(sh, inc, item.state, item.lb, stats, so, gen_slot,
-                  [&](const PartialSchedule& s, Time lb) {
-                    out.push_back(WorkItem{s, lb});
-                  });
-  if (sh.params.sort_children) {
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const WorkItem& a, const WorkItem& b) { return a.lb > b.lb; });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Central-queue scheduler (ParallelScheduler::kCentralQueue).
-// ---------------------------------------------------------------------------
-
-/// Worker protocol: `idle` counts workers not holding work. The last worker
-/// to go idle with an empty queue declares the search done.
-///
-/// Idle-accounting invariant (hardened; mirrored by the work-stealing
-/// termination counter): a worker increments `idle` exactly once per outer
-/// iteration and decrements it only in the same critical section in which
-/// it takes a WorkItem off the queue. A wake → queue-empty → re-sleep cycle
-/// therefore re-enters the wait with its increment still standing — it can
-/// never decrement without dequeuing, so `idle` cannot drift low and
-/// declare termination while work is in flight, and every exit path leaves
-/// the worker counted (the caller asserts idle == total_threads after the
-/// join).
-void worker_loop(Shared& sh, const std::size_t self, SearchStats& stats,
-                 SearchObs& so) {
-  std::vector<WorkItem> local;
-  IncrementalLB inc(sh.ctx);  // private scratch: no shared mutable state
-  std::uint64_t iter = 0;
-  std::uint64_t ckpt_seen = 0;  // last checkpoint epoch this worker joined
-  GeneratedSlot& gen_slot = sh.gen_slots[self + 1];
-  const auto leave = [&] {
-    sh.fold(gen_slot, stats.generated);
-    sh.done = true;
-    sh.queue_cv.notify_all();
-    if (sh.params.ckpt != nullptr) {
-      sh.ckpt_alive.fetch_sub(1, std::memory_order_relaxed);
-    }
-    so.flush(stats);
-  };
-  for (;;) {
-    {
-      std::unique_lock lock(sh.queue_mutex);
-      ++sh.idle;
-      PARABB_ASSERT(sh.idle <= sh.total_threads);
-      if ((sh.idle == sh.total_threads && sh.queue.empty()) ||
-          sh.stop.load()) {
-        leave();
-        return;
-      }
-      for (;;) {
-        sh.queue_cv.wait(lock, [&] {
-          return sh.done || sh.stop.load() || !sh.queue.empty() ||
-                 (sh.params.ckpt != nullptr &&
-                  sh.ckpt_epoch.load(std::memory_order_acquire) !=
-                      ckpt_seen);
-        });
-        if (sh.done || sh.stop.load()) {
-          leave();
-          return;
-        }
-        if (sh.params.ckpt != nullptr) {
-          const std::uint64_t e =
-              sh.ckpt_epoch.load(std::memory_order_acquire);
-          if (e != ckpt_seen) {
-            // Out of work: dump an empty slot, then sit out the serialize
-            // outside the lock (the supervisor needs queue_mutex for the
-            // shared queue). `idle` stays incremented, which is exactly
-            // the waiting state this worker is still in.
-            ckpt_seen = e;
-            sh.ckpt_dumps[self].items.clear();
-            lock.unlock();
-            sh.ckpt_arrive_and_pause(self, e, stats);
-            lock.lock();
-            continue;
-          }
-        }
-        if (!sh.queue.empty()) break;
-      }
-      --sh.idle;
-      local.push_back(std::move(sh.queue.front()));
-      sh.queue.pop_front();
-      sh.queue_hint.store(sh.queue.size(), std::memory_order_relaxed);
-    }
-
-    // Depth-first dive on the private stack.
-    while (!local.empty()) {
-      if (sh.should_stop()) {
-        stats.disposed += local.size();  // abandoned by the early stop
-        so.dispose(static_cast<std::int64_t>(local.size()));
-        local.clear();
-        break;
-      }
-      WorkItem item = std::move(local.back());
-      local.pop_back();
-      const Time pop_threshold = sh.threshold();
-      if (sh.params.elim == ElimRule::kUDBAS && item.lb >= pop_threshold) {
-        ++stats.pruned_active;
-        so.prune(FlightPruneRule::kBound, item.state.count(), item.lb);
-        if (sh.params.certify) {
-          sh.params.certify->record_cut(
-              sh.ctx, item.state,
-              bound_cut_rule(sh.ctx, item.state, sh.params.lb,
-                             pop_threshold),
-              item.lb);
-        }
-        continue;
-      }
-      try {
-        expand(sh, inc, item, local, stats, so, gen_slot);
-      } catch (const std::bad_alloc&) {
-        // Injected or genuine allocation failure mid-expansion: surface
-        // it as the budget cliff. The dive loop's stop branch disposes
-        // whatever is left on the private stack on the next iteration.
-        sh.request_stop(TerminationReason::kBudget);
-        continue;
-      }
-      stats.peak_active = std::max(stats.peak_active, local.size());
-      stats.peak_memory_bytes = std::max(
-          stats.peak_memory_bytes, local.capacity() * sizeof(WorkItem));
-      // Amortized metrics flush, mirroring the sequential engine's
-      // 256-expansion polling cadence.
-      if ((++iter & 0xFFu) == 0) {
-        sh.fold(gen_slot, stats.generated);
-        const std::uint64_t gen = sh.generated_total();
-        so.budget_checkpoint(static_cast<std::int64_t>(gen));
-        if (sh.params.progress) {
-          sh.params.progress->store(gen, std::memory_order_relaxed);
-        }
-        if (sh.params.faults) sh.params.faults->at_poll(gen);
-        sh.maybe_degrade(self, local.capacity() * sizeof(WorkItem), stats,
-                         so);
-        so.flush(stats);
-        if (sh.params.ckpt != nullptr) {
-          const std::uint64_t e =
-              sh.ckpt_epoch.load(std::memory_order_acquire);
-          if (e != ckpt_seen) {
-            // The just-expanded vertex's survivors are all on `local`, so
-            // the private stack IS this worker's live frontier.
-            ckpt_seen = e;
-            sh.ckpt_dumps[self].items.assign(local.begin(), local.end());
-            sh.ckpt_arrive_and_pause(self, e, stats);
-          }
-        }
-      }
-
-      // Donate the shallowest half when the queue is dry and peers starve.
-      if (local.size() >= 2 &&
-          sh.queue_hint.load(std::memory_order_relaxed) == 0) {
-        std::unique_lock lock(sh.queue_mutex, std::try_to_lock);
-        if (lock.owns_lock() && sh.queue.empty() && sh.idle > 0) {
-          const std::size_t donate = local.size() / 2;
-          for (std::size_t i = 0; i < donate; ++i)
-            sh.queue.push_back(std::move(local[i]));
-          local.erase(local.begin(),
-                      local.begin() + static_cast<std::ptrdiff_t>(donate));
-          sh.queue_hint.store(sh.queue.size(), std::memory_order_relaxed);
-          sh.queue_cv.notify_all();
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing scheduler (ParallelScheduler::kWorkStealing).
-// ---------------------------------------------------------------------------
-
 /// One search-tree vertex. Lives in a per-worker NodeSlab; the deques store
 /// pointers, so a steal moves 8 bytes instead of a 224-byte state copy.
 /// `next_free` threads a slab freelist while the node is dead.
@@ -692,7 +481,7 @@ struct WsControl {
   /// Workers currently holding no vertex. The termination protocol's only
   /// invariant: a worker counted here never holds work — it decrements
   /// BEFORE attempting a steal and re-increments only after the whole
-  /// sweep failed (same discipline as Shared::idle, without the lock).
+  /// sweep failed.
   alignas(64) std::atomic<int> idle{0};
   std::atomic<bool> done{false};  ///< search exhausted (terminal)
 
@@ -714,8 +503,8 @@ struct WsControl {
 /// or (4), since an owner only goes idle with its own deque drained — or in
 /// the hands of a worker that decremented `idle` before claiming it —
 /// contradicting (3). See docs/algorithm.md for the full argument.
-void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
-                    SearchStats& stats, SearchObs& so) {
+void ws_worker(Shared& sh, WsControl& ctl, const std::size_t self,
+               SearchStats& stats, SearchObs& so) {
   WsDeque<WsNode*>& mine = *ctl.deques[self];
   NodeSlab& slab = *ctl.slabs[self];
   const std::size_t nworkers = ctl.deques.size();
@@ -964,14 +753,6 @@ void ws_worker_loop(Shared& sh, WsControl& ctl, const std::size_t self,
 
 }  // namespace
 
-std::string to_string(ParallelScheduler s) {
-  switch (s) {
-    case ParallelScheduler::kWorkStealing: return "ws";
-    case ParallelScheduler::kCentralQueue: return "central";
-  }
-  return "?";
-}
-
 ParallelResult solve_bnb_parallel(const SchedContext& ctx,
                                   const ParallelParams& pp) {
   Stopwatch watch;
@@ -1062,32 +843,8 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
       const int replay =
           std::min(snap.degrade_level, sh.degrade_sched.count);
       for (int lvl = 0; lvl < replay; ++lvl) {
-        switch (sh.degrade_sched.rungs[static_cast<std::size_t>(lvl)]
-                    .action) {
-          case DegradeAction::kShedTT:
-            sh.tt_live.store(nullptr, std::memory_order_relaxed);
-            if (sh.tt) sh.tt->clear();
-            break;
-          case DegradeAction::kTightenDB:
-            sh.effective_children.store(
-                std::max(1, ctx.proc_count() *
-                                pp.base.degrade.tightened_children_per_proc),
-                std::memory_order_relaxed);
-            sh.degraded_incomplete.store(true, std::memory_order_relaxed);
-            break;
-          case DegradeAction::kBF1: {
-            BranchRule expected = BranchRule::kBFn;
-            sh.effective_branch.compare_exchange_strong(
-                expected, BranchRule::kBF1, std::memory_order_relaxed);
-            sh.degraded_incomplete.store(true, std::memory_order_relaxed);
-            break;
-          }
-          case DegradeAction::kDF:
-            sh.effective_branch.store(BranchRule::kDF,
-                                      std::memory_order_relaxed);
-            sh.degraded_incomplete.store(true, std::memory_order_relaxed);
-            break;
-        }
+        sh.apply_rung(
+            sh.degrade_sched.rungs[static_cast<std::size_t>(lvl)].action);
       }
       sh.degrade_level.store(replay, std::memory_order_relaxed);
     }
@@ -1143,10 +900,21 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
       }
       buf.clear();
       try {
-        expand(sh, seed_inc, item, buf, seed_stats, seed_so, seed_slot);
+        expand_children(sh, seed_inc, item.state, item.lb, seed_stats,
+                        seed_so, seed_slot,
+                        [&](const PartialSchedule& s, Time lb) {
+                          buf.push_back(WorkItem{s, lb});
+                        });
       } catch (const std::bad_alloc&) {
         sh.request_stop(TerminationReason::kBudget);
         break;
+      }
+      if (pp.base.sort_children) {
+        // Worst bound first, as the workers stage their children.
+        std::sort(buf.begin(), buf.end(),
+                  [](const WorkItem& a, const WorkItem& b) {
+                    return a.lb > b.lb;
+                  });
       }
       for (WorkItem& w : buf) seeds.push_back(std::move(w));
       seed_stats.peak_memory_bytes =
@@ -1157,7 +925,6 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
   }
   seed_so.flush(seed_stats);
 
-  const bool ws = pp.scheduler == ParallelScheduler::kWorkStealing;
   std::uint64_t leftover_disposed = 0;
   if (!seeds.empty()) {
     std::vector<SearchStats> per_thread(static_cast<std::size_t>(threads));
@@ -1165,11 +932,10 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
     for (int i = 0; i < threads; ++i) {
       per_obs[static_cast<std::size_t>(i)].bind(
           pp.base.observe, /*channel=*/static_cast<std::size_t>(i) + 1);
-      if (ws) {
-        per_obs[static_cast<std::size_t>(i)].bind_deque_depth(
-            pp.base.observe, static_cast<std::size_t>(i));
-      }
+      per_obs[static_cast<std::size_t>(i)].bind_deque_depth(
+          pp.base.observe, static_cast<std::size_t>(i));
     }
+    WsControl ctl(threads, pp.steal_batch);
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
     const double limit = pp.base.rb.time_limit_s;
@@ -1178,9 +944,9 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
 
     // Serializes the quiesced state and writes it atomically to
     // params.ckpt->path(). Runs with every live worker arrived-and-paused,
-    // so the dump slots (and, for the central queue, sh.queue) together
-    // hold the complete frontier. A failed write is recorded and survived.
-    const auto ckpt_serialize = [&](bool central_queue) {
+    // so the dump slots together hold the complete frontier. A failed
+    // write is recorded and survived.
+    const auto ckpt_serialize = [&] {
       SearchSnapshot snap;
       snap.instance = instance_fp;
       snap.engine = SnapshotEngine::kParallel;
@@ -1207,13 +973,6 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
         if (d.epoch != epoch) continue;  // worker exited before this epoch
         merge_search_stats(agg, d.stats);
         for (const WorkItem& w : d.items) {
-          snap.frontier.push_back(
-              SnapshotVertex{placement_path(ctx, w.state), w.lb, seq++});
-        }
-      }
-      if (central_queue) {
-        const std::lock_guard lock(sh.queue_mutex);
-        for (const WorkItem& w : sh.queue) {
           snap.frontier.push_back(
               SnapshotVertex{placement_path(ctx, w.state), w.lb, seq++});
         }
@@ -1259,142 +1018,89 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
       }
     };
 
-    // Quiesce barrier: bump the epoch (under queue_mutex, so a central
-    // worker checking its wait predicate cannot miss the wakeup), wait for
-    // every live worker to dump and pause, serialize, release. Aborts —
-    // without writing — if the search ends mid-quiesce; the final result
-    // supersedes any snapshot.
-    const auto ckpt_quiesce = [&](const std::function<bool()>& search_done,
-                                  bool central_queue) {
+    // Quiesce barrier: bump the epoch, wait for every live worker to dump
+    // and pause, serialize, release. Aborts — without writing — if the
+    // search ends mid-quiesce; the final result supersedes any snapshot.
+    const auto ckpt_quiesce = [&] {
       const std::uint64_t epoch =
           sh.ckpt_epoch.load(std::memory_order_relaxed) + 1;
       sh.ckpt_arrived.store(0, std::memory_order_relaxed);
-      {
-        const std::lock_guard lock(sh.queue_mutex);
-        sh.ckpt_epoch.store(epoch, std::memory_order_release);
-      }
-      sh.queue_cv.notify_all();
+      sh.ckpt_epoch.store(epoch, std::memory_order_release);
       bool complete = true;
       while (sh.ckpt_arrived.load(std::memory_order_acquire) <
              sh.ckpt_alive.load(std::memory_order_relaxed)) {
-        if (search_done() || sh.stop.load(std::memory_order_relaxed)) {
+        if (ctl.done.load() || sh.stop.load(std::memory_order_relaxed)) {
           complete = false;
           break;
         }
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
-      if (complete) ckpt_serialize(central_queue);
+      if (complete) ckpt_serialize();
       sh.ckpt_released.store(epoch, std::memory_order_release);
     };
 
-    if (ws) {
-      WsControl ctl(threads, pp.steal_batch);
-      // Round-robin seed distribution. Each worker's share is pushed in
-      // reverse, so its first pop_bottom yields its earliest (breadth-
-      // first-order) seed — matching the central queue's pop_front.
-      {
-        std::vector<std::vector<WsNode*>> share(
-            static_cast<std::size_t>(threads));
-        std::size_t k = 0;
-        for (const WorkItem& w : seeds) {
-          const std::size_t who = k++ % static_cast<std::size_t>(threads);
-          WsNode* const n = ctl.slabs[who]->alloc();
-          n->state = w.state;
-          n->lb = w.lb;
-          share[who].push_back(n);
+    // Round-robin seed distribution. Each worker's share is pushed in
+    // reverse, so its first pop_bottom yields its earliest (breadth-first-
+    // order) seed.
+    {
+      std::vector<std::vector<WsNode*>> share(
+          static_cast<std::size_t>(threads));
+      std::size_t k = 0;
+      for (const WorkItem& w : seeds) {
+        const std::size_t who = k++ % static_cast<std::size_t>(threads);
+        WsNode* const n = ctl.slabs[who]->alloc();
+        n->state = w.state;
+        n->lb = w.lb;
+        share[who].push_back(n);
+      }
+      for (std::size_t who = 0; who < share.size(); ++who) {
+        for (auto it = share[who].rbegin(); it != share[who].rend(); ++it) {
+          ctl.deques[who]->push_bottom(*it);
         }
-        for (std::size_t who = 0; who < share.size(); ++who) {
-          for (auto it = share[who].rbegin(); it != share[who].rend(); ++it) {
-            ctl.deques[who]->push_bottom(*it);
-          }
-        }
-      }
-      for (int i = 0; i < threads; ++i) {
-        pool.emplace_back([&sh, &ctl, &per_thread, &per_obs, i] {
-          ws_worker_loop(sh, ctl, static_cast<std::size_t>(i),
-                         per_thread[static_cast<std::size_t>(i)],
-                         per_obs[static_cast<std::size_t>(i)]);
-        });
-      }
-      // Time-limit / checkpoint supervisor (main thread); cancellation and
-      // the generated budget are polled by the workers
-      // (Shared::should_stop).
-      if (supervise) {
-        while (!ctl.done.load() && !sh.stop.load()) {
-          double elapsed = resume_seconds + watch.seconds();
-          if (pp.base.faults) {
-            elapsed += pp.base.faults->clock_skew_s(sh.generated_total());
-          }
-          if (elapsed >= limit) {
-            sh.request_stop(TerminationReason::kTimeLimit);
-            break;
-          }
-          if (pp.base.ckpt != nullptr && pp.base.ckpt->due()) {
-            ckpt_quiesce([&] { return ctl.done.load(); },
-                         /*central_queue=*/false);
-            // A SIGTERM-driven request_now(stop_after) winds the search
-            // down only after its state reached the disk.
-            if (pp.base.ckpt->stop_requested()) {
-              sh.request_stop(TerminationReason::kCancelled);
-              break;
-            }
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-      for (auto& th : pool) th.join();
-      // Every exit path leaves the worker counted idle — the same
-      // invariant the central queue keeps under its mutex.
-      PARABB_ASSERT(ctl.idle.load() == threads);
-      // An early stop can leave stolen-then-abandoned vertices behind;
-      // count them like the central queue's leftovers. After the joins the
-      // main thread is the sole accessor, so owner ops are safe here.
-      for (const auto& d : ctl.deques) {
-        WsNode* n = nullptr;
-        while (d->pop_bottom(n)) ++leftover_disposed;
-      }
-      PARABB_ASSERT(sh.stop.load() || leftover_disposed == 0);
-    } else {
-      for (WorkItem& w : seeds) sh.queue.push_back(std::move(w));
-      sh.queue_hint.store(sh.queue.size());
-      for (int i = 0; i < threads; ++i) {
-        pool.emplace_back([&sh, &per_thread, &per_obs, i] {
-          worker_loop(sh, static_cast<std::size_t>(i),
-                      per_thread[static_cast<std::size_t>(i)],
-                      per_obs[static_cast<std::size_t>(i)]);
-        });
-      }
-      if (supervise) {
-        const auto central_done = [&] {
-          const std::lock_guard lock(sh.queue_mutex);
-          return sh.done;
-        };
-        for (;;) {
-          if (central_done()) break;
-          double elapsed = resume_seconds + watch.seconds();
-          if (pp.base.faults) {
-            elapsed += pp.base.faults->clock_skew_s(sh.generated_total());
-          }
-          if (elapsed >= limit) {
-            sh.request_stop(TerminationReason::kTimeLimit);
-            break;
-          }
-          if (pp.base.ckpt != nullptr && pp.base.ckpt->due()) {
-            ckpt_quiesce(central_done, /*central_queue=*/true);
-            if (pp.base.ckpt->stop_requested()) {
-              sh.request_stop(TerminationReason::kCancelled);
-              break;
-            }
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-      for (auto& th : pool) th.join();
-      {
-        const std::lock_guard lock(sh.queue_mutex);
-        PARABB_ASSERT(sh.idle == threads);
       }
     }
+    for (int i = 0; i < threads; ++i) {
+      pool.emplace_back([&sh, &ctl, &per_thread, &per_obs, i] {
+        ws_worker(sh, ctl, static_cast<std::size_t>(i),
+                  per_thread[static_cast<std::size_t>(i)],
+                  per_obs[static_cast<std::size_t>(i)]);
+      });
+    }
+    // Time-limit / checkpoint supervisor (main thread); cancellation and
+    // the generated budget are polled by the workers (Shared::should_stop).
+    if (supervise) {
+      while (!ctl.done.load() && !sh.stop.load()) {
+        double elapsed = resume_seconds + watch.seconds();
+        if (pp.base.faults) {
+          elapsed += pp.base.faults->clock_skew_s(sh.generated_total());
+        }
+        if (elapsed >= limit) {
+          sh.request_stop(TerminationReason::kTimeLimit);
+          break;
+        }
+        if (pp.base.ckpt != nullptr && pp.base.ckpt->due()) {
+          ckpt_quiesce();
+          // A SIGTERM-driven request_now(stop_after) winds the search
+          // down only after its state reached the disk.
+          if (pp.base.ckpt->stop_requested()) {
+            sh.request_stop(TerminationReason::kCancelled);
+            break;
+          }
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    for (auto& th : pool) th.join();
+    // Every exit path leaves the worker counted idle.
+    PARABB_ASSERT(ctl.idle.load() == threads);
+    // An early stop can leave stolen-then-abandoned vertices behind. After
+    // the joins the main thread is the sole accessor, so owner ops are
+    // safe here.
+    for (const auto& d : ctl.deques) {
+      WsNode* n = nullptr;
+      while (d->pop_bottom(n)) ++leftover_disposed;
+    }
+    PARABB_ASSERT(sh.stop.load() || leftover_disposed == 0);
     for (const SearchStats& s : per_thread) {
       merge_search_stats(result.stats, s);
     }
@@ -1404,13 +1110,9 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
   // tt_* fields are overwritten from the shared table's absolute counters
   // below, which already fold the snapshot's in (add_counters).
   merge_search_stats(result.stats, resume_base);
-  // Work left behind by an early stop — seeds never handed to a worker
-  // pool (central queue) or vertices abandoned in deques (work stealing) —
-  // was disposed of, the same way worker-local leftovers are counted
-  // inside the worker loops.
-  const std::uint64_t queue_disposed =
-      (sh.stop.load() ? sh.queue.size() : 0) + leftover_disposed;
-  result.stats.disposed += queue_disposed;
+  // Vertices an early stop left in the deques were disposed of, the same
+  // way worker-local leftovers are counted inside the worker loop.
+  result.stats.disposed += leftover_disposed;
   const TerminationReason reason = sh.stop.load()
                                        ? sh.stop_reason.load()
                                        : TerminationReason::kExhausted;
@@ -1458,7 +1160,7 @@ ParallelResult solve_bnb_parallel(const SchedContext& ctx,
       fin.seed(base);
     }
     SearchStats rem;
-    rem.disposed = queue_disposed;
+    rem.disposed = leftover_disposed;
     rem.tt_hits = result.stats.tt_hits;
     rem.tt_misses = result.stats.tt_misses;
     rem.tt_evictions = result.stats.tt_evictions;

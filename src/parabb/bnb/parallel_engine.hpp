@@ -1,33 +1,26 @@
 // Parallel branch-and-bound (extension; DESIGN.md item 8).
 //
-// Two schedulers share one search semantics (same bounds, same pruning,
-// shared atomic incumbent, shared lock-striped transposition table):
+// Workers share one search semantics with the sequential engine (same
+// bounds, same pruning) plus a shared atomic incumbent and a shared
+// lock-striped transposition table. Scheduling is decentralized work
+// stealing: each worker owns a Chase-Lev deque (support/ws_deque.hpp). The
+// owner pushes and pops children at the bottom (sorted-LIFO dive,
+// depth-first locality); idle workers steal batches from the top of
+// randomly chosen victims (oldest = shallowest vertices, whose subtrees
+// amortize the steal). Vertices live in per-worker slab pools, so neither
+// allocation nor scheduling ever takes a global lock on the hot path.
+// Termination is detected by an idle-worker counter: a worker is counted
+// idle only while it holds no vertex, and the search ends when a sweep of
+// every deque finds them empty AND the counter — re-read after the sweep
+// and after a final stop-flag check — equals the worker count.
+// docs/algorithm.md ("Parallel search: work stealing") has the memory-order
+// and termination arguments.
 //
-//  * kWorkStealing (default) — decentralized: each worker owns a
-//    Chase-Lev deque (support/ws_deque.hpp). The owner pushes and pops
-//    children at the bottom (sorted-LIFO dive, depth-first locality);
-//    idle workers steal batches from the top of randomly chosen victims
-//    (oldest = shallowest vertices, whose subtrees amortize the steal).
-//    Vertices live in per-worker slab pools, so neither allocation nor
-//    scheduling ever takes a global lock on the hot path. Termination is
-//    detected by an idle-worker counter: a worker is counted idle only
-//    while it holds no vertex, and the search ends when a sweep of every
-//    deque finds them empty AND the counter — re-read after the sweep and
-//    after a final stop-flag check — equals the worker count.
-//    docs/algorithm.md ("Parallel search: work stealing") has the memory-
-//    order and termination arguments.
-//
-//  * kCentralQueue — the previous work-sharing design, kept as the
-//    benchmark baseline (bench/micro_parallel compares the two): workers
-//    dive on private stacks and donate the shallowest half of their stack
-//    to one mutex-guarded global queue when it runs dry and a peer
-//    starves; idle workers block on the queue's condition variable.
-//
-// Both start from a breadth-first *seeding* phase that expands the root
-// until there is at least one frontier vertex per worker. The returned
-// cost is identical to the sequential engine's under either scheduler;
-// the number of searched vertices varies run-to-run because incumbent
-// improvements propagate asynchronously. Cancellation is polled per
+// The search starts from a breadth-first *seeding* phase that expands the
+// root until there is at least one frontier vertex per worker. The returned
+// cost is identical to the sequential engine's; the number of searched
+// vertices varies run-to-run because incumbent improvements propagate
+// asynchronously. Cancellation is polled per
 // expanded vertex and the time limit by a supervisor thread. The generated
 // budget is counted per worker and checked per expanded vertex: against a
 // chunked shared total while the cap is far, against the exact sum of the
@@ -42,13 +35,12 @@
 
 namespace parabb {
 
-/// How the parallel engine distributes vertices among workers.
+/// How the parallel engine distributes vertices among workers. Work
+/// stealing is the only scheduler; the enum remains so callers that name
+/// it explicitly keep compiling.
 enum class ParallelScheduler : std::uint8_t {
-  kWorkStealing,  ///< per-worker Chase-Lev deques, batched steals (default)
-  kCentralQueue,  ///< one shared queue + donation (benchmark baseline)
+  kWorkStealing,  ///< per-worker Chase-Lev deques, batched steals
 };
-
-std::string to_string(ParallelScheduler s);
 
 struct ParallelParams {
   /// Base 9-tuple. `select` is ignored (always LIFO dives); `rb.max_active`
@@ -62,8 +54,9 @@ struct ParallelParams {
   /// any thread is pruned as a duplicate everywhere else.
   Params base;
   int threads = 0;  ///< 0 = hardware concurrency
+  /// Not read by the engine: work stealing is the only scheduler.
   ParallelScheduler scheduler = ParallelScheduler::kWorkStealing;
-  /// Work-stealing only: cap on the vertices one steal may take.
+  /// Cap on the vertices one steal may take.
   /// 0 = auto — half of the victim's visible deque (minimum 1), the
   /// textbook balance between handoff latency and steal amortization.
   int steal_batch = 0;

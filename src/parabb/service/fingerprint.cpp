@@ -41,8 +41,8 @@ std::string request_key(const JobRequest& request) {
     }
   }
   os << '\n';
-  // 9-tuple parameters that influence the search result. `trace` and
-  // `cancel` are service-owned and excluded; the F/D hooks cannot be
+  // 9-tuple parameters that influence the search result. `cancel` is
+  // service-owned and excluded; the F/D hooks cannot be
   // fingerprinted, so requests carrying them must bypass the cache (the
   // service refuses to cache them — see SolverService).
   const Params& p = request.params;
@@ -54,12 +54,9 @@ std::string request_key(const JobRequest& request) {
      << p.rb.max_children << '/' << p.rb.max_generated << '/'
      << p.rb.max_memory_bytes << '\n';
   os << "engine threads=" << (request.threads > 1 ? request.threads : 1);
-  // Scheduler/steal-batch only matter when the parallel engine runs; fold
-  // them in only then so sequential requests keep their existing keys.
-  if (request.threads > 1) {
-    os << " sched=" << to_string(request.scheduler)
-       << " steal_batch=" << request.steal_batch;
-  }
+  // The steal batch only matters when the parallel engine runs; fold it
+  // in only then so sequential requests keep their existing keys.
+  if (request.threads > 1) os << " steal_batch=" << request.steal_batch;
   os << '\n';
   // Certified results carry the certificate text; a plain cached result
   // must never satisfy a certify request (or vice versa).

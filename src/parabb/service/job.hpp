@@ -15,7 +15,6 @@
 #include <string>
 
 #include "parabb/bnb/engine.hpp"
-#include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/bnb/params.hpp"
 #include "parabb/platform/machine.hpp"
 #include "parabb/sched/schedule.hpp"
@@ -66,12 +65,10 @@ struct JobRequest {
   std::string id;     ///< client-chosen tag, echoed in the response
   TaskGraph graph;
   Machine machine;
-  Params params;      ///< `trace` and `cancel` are service-owned: ignored
+  Params params;      ///< `cancel` is service-owned: ignored
   int threads = 1;    ///< 1 = sequential engine; >1 = parallel engine
-  /// Parallel engine only (threads > 1): how vertices are distributed.
-  ParallelScheduler scheduler = ParallelScheduler::kWorkStealing;
-  /// Work-stealing only: cap on the vertices one steal takes (0 = auto,
-  /// half of the victim's visible deque).
+  /// Parallel engine only (threads > 1): cap on the vertices one steal
+  /// takes (0 = auto, half of the victim's visible deque).
   int steal_batch = 0;
   int priority = 0;   ///< higher admits earlier; FIFO within a priority
   Budget budget;

@@ -186,15 +186,12 @@ JobRequest request_from_json(const std::string& line) {
 
   req.threads = static_cast<int>(get_int_field(doc, "threads", 1));
   if (req.threads < 0) bad_request("threads must be >= 0");
+  // Work stealing is the only parallel scheduler; "ws" is accepted so
+  // existing clients that name it keep working.
   if (const JsonValue* sched = doc.find("scheduler")) {
     if (!sched->is_string()) bad_request("scheduler must be a string");
-    const std::string& s = sched->as_string();
-    if (s == "ws") {
-      req.scheduler = ParallelScheduler::kWorkStealing;
-    } else if (s == "central") {
-      req.scheduler = ParallelScheduler::kCentralQueue;
-    } else {
-      bad_request("scheduler must be \"ws\" or \"central\"");
+    if (sched->as_string() != "ws") {
+      bad_request("scheduler must be \"ws\"");
     }
   }
   req.steal_batch = static_cast<int>(get_int_field(doc, "steal_batch", 0));

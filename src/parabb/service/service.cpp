@@ -202,8 +202,7 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
     ctx_span.finish();
 
     Params params = req.params;
-    params.trace = nullptr;  // service-owned fields
-    params.observe = nullptr;
+    params.observe = nullptr;  // service-owned field
     apply_budget(params, req.budget, &record->token);
     params.faults = config_.faults;
     params.progress = &record->progress;
@@ -276,7 +275,6 @@ JobResult SolverService::run_job(const std::shared_ptr<JobRecord>& record) {
       ParallelParams pp;
       pp.base = params;
       pp.threads = req.threads;
-      pp.scheduler = req.scheduler;
       pp.steal_batch = req.steal_batch;
       const ParallelResult r = solve_bnb_parallel(ctx, pp);
       out.found = r.found_solution;

@@ -12,7 +12,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] { run_worker(); });
   }
 }
 
@@ -66,7 +66,7 @@ void ThreadPool::parallel_for(std::size_t n,
   wait_idle();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::run_worker() {
   for (;;) {
     std::function<void()> job;
     {

@@ -73,7 +73,7 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop();
+  void run_worker();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;

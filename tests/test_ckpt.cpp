@@ -3,7 +3,7 @@
 // The load-bearing contracts:
 //  * a resumed run reaches the same optimal cost — and a CERTIFIED
 //    certificate — as the uninterrupted run, for the sequential engine
-//    and both parallel schedulers;
+//    and the parallel engine at 4 and 8 threads;
 //  * a truncated or bit-flipped snapshot is rejected with SnapshotError
 //    (CRC / framing), never a crash and never a silently wrong state;
 //  * checkpointing off (Params::ckpt == nullptr) and armed-but-never-due
@@ -188,12 +188,11 @@ TEST(Resume, InterruptedRunsReachUninterruptedOptimum) {
   struct EngineCase {
     const char* name;
     int threads;  // 0 = sequential
-    ParallelScheduler scheduler;
   };
   const EngineCase cases[] = {
-      {"sequential", 0, ParallelScheduler::kWorkStealing},
-      {"ws4", 4, ParallelScheduler::kWorkStealing},
-      {"central4", 4, ParallelScheduler::kCentralQueue},
+      {"sequential", 0},
+      {"ws4", 4},
+      {"ws8", 8},
   };
   for (const EngineCase& c : cases) {
     const std::string path = tmp.file(std::string(c.name) + ".ckpt");
@@ -212,7 +211,6 @@ TEST(Resume, InterruptedRunsReachUninterruptedOptimum) {
       ParallelParams pp;
       pp.base = partial;
       pp.threads = c.threads;
-      pp.scheduler = c.scheduler;
       solve_bnb_parallel(ctx, pp);
     }
     ASSERT_GE(ckpt.writes(), 1u) << c.name;
@@ -234,7 +232,6 @@ TEST(Resume, InterruptedRunsReachUninterruptedOptimum) {
       ParallelParams pp;
       pp.base = resume;
       pp.threads = c.threads;
-      pp.scheduler = c.scheduler;
       const ParallelResult r = solve_bnb_parallel(ctx, pp);
       proved = r.proved;
       cost = r.best_cost;

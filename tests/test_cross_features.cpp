@@ -6,7 +6,8 @@
 #include "parabb/bnb/engine.hpp"
 #include "parabb/bnb/hooks.hpp"
 #include "parabb/bnb/parallel_engine.hpp"
-#include "parabb/bnb/trace.hpp"
+#include "parabb/obs/observe.hpp"
+#include "parabb/obs/recorder.hpp"
 #include "parabb/platform/topology.hpp"
 #include "parabb/sched/edf.hpp"
 #include "parabb/sched/improve.hpp"
@@ -104,26 +105,32 @@ TEST(CrossFeatures, ChainClusteringNeverBeatsTheOriginalOptimum) {
   }
 }
 
-TEST(CrossFeatures, TraceWithBrAndDominance) {
+TEST(CrossFeatures, FlightRecorderWithBrAndDominance) {
   const TaskGraph g = test::tight_instance(33);
   const SchedContext ctx = test::make_ctx(g, 2);
-  SearchTrace trace(1u << 20);
+  FlightRecorder rec(std::size_t{1} << 12);
+  Observation ob;
+  ob.recorder = &rec;
   Params p;
   p.br = 0.15;
   p.dominance = make_processor_symmetry_dominance();
-  p.trace = &trace;
+  p.observe = &ob;
   const SearchResult r = solve_bnb(ctx, p);
   ASSERT_TRUE(r.found_solution);
-  EXPECT_GT(trace.total_events(), 0u);
-  // Pruned-children events include dominance kills; counters must agree
-  // when nothing was dropped from the ring.
-  if (trace.dropped() == 0) {
-    std::uint64_t prunes = 0;
-    for (const TraceRecord& rec : trace.chronological()) {
-      if (rec.event == TraceEvent::kPruneChild) ++prunes;
-    }
-    EXPECT_EQ(prunes, r.stats.pruned_children);
+  const FlightChannel& ch = rec.channel(0);
+  EXPECT_GT(ch.total(), 0u);
+  // Child-prune events (level >= 0) include dominance kills; they must
+  // agree with the counter when nothing was dropped from the ring.
+  ASSERT_EQ(ch.dropped(), 0u);
+  std::uint64_t prunes = 0;
+  std::uint64_t dominance = 0;
+  for (const FlightEvent& e : ch.chronological()) {
+    if (e.kind != FlightEventKind::kPrune || e.level < 0) continue;
+    ++prunes;
+    if (e.rule == FlightPruneRule::kDominance) ++dominance;
   }
+  EXPECT_EQ(prunes, r.stats.pruned_children);
+  EXPECT_GT(dominance, 0u);
 }
 
 TEST(CrossFeatures, ParallelEngineOnTopologies) {

@@ -484,32 +484,6 @@ TEST(ObserveDifferential, ParallelEngineMultiThreadSameOptimum) {
             on.stats.expanded);
 }
 
-// The central-queue scheduler (kept as the benchmark baseline) must hold
-// the same observe-off/on byte-identical contract as the work-stealing
-// default (exercised by ParallelEngineSingleThreadByteIdentical above).
-TEST(ObserveDifferential, CentralQueueSingleThreadByteIdentical) {
-  const TaskGraph g = test::tight_instance(11);
-  const SchedContext ctx = test::make_ctx(g, 3);
-  ParallelParams pp;
-  pp.threads = 1;
-  pp.scheduler = ParallelScheduler::kCentralQueue;
-
-  const ParallelResult off = solve_bnb_parallel(ctx, pp);
-
-  MetricsRegistry reg;
-  Observation ob;
-  ob.metrics = &reg;
-  ParallelParams pp_on = pp;
-  pp_on.base.observe = &ob;
-  const ParallelResult on = solve_bnb_parallel(ctx, pp_on);
-
-  EXPECT_EQ(on.best_cost, off.best_cost);
-  EXPECT_EQ(on.proved, off.proved);
-  expect_stats_equal(on.stats, off.stats);
-  ASSERT_TRUE(on.found_solution);
-  EXPECT_EQ(schedule_to_text(on.best, g), schedule_to_text(off.best, g));
-}
-
 // Work-stealing observability surface (ISSUE 8): an observed multi-thread
 // run publishes the steal counters and one deque-depth gauge per worker,
 // and the counter totals equal the engine's merged stats.

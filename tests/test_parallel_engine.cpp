@@ -91,8 +91,7 @@ TEST(ParallelEngine, GeneratedBudgetTerminates) {
   }
 }
 
-// The generated budget's contract at every width and under both
-// schedulers: a kBudget stop never fires before the summed count reaches
+// The generated budget's contract at every width: a kBudget stop never fires before the summed count reaches
 // the cap, and each worker overshoots it by at most the one expansion it
 // had in flight (n x m children). The budgets span both accounting
 // regimes: the small ones stay within 2 x threads x flush-chunk of the
@@ -107,25 +106,19 @@ TEST(ParallelEngine, GeneratedBudgetContract) {
   for (const std::uint64_t budget :
        {1ull, 3ull, 100ull, 5000ull, 50'000ull, 200'000ull}) {
     for (const int threads : {2, 4, 8}) {
-      for (const ParallelScheduler sched :
-           {ParallelScheduler::kWorkStealing,
-            ParallelScheduler::kCentralQueue}) {
-        ParallelParams pp;
-        pp.threads = threads;
-        pp.scheduler = sched;
-        pp.base.rb.max_generated = budget;
-        const ParallelResult r = solve_bnb_parallel(ctx, pp);
-        const std::string where = "budget " + std::to_string(budget) +
-                                  " threads " + std::to_string(threads) +
-                                  " " + to_string(sched);
-        // The instance is far larger than every budget, so each run stops
-        // on the cap rather than exhausting.
-        ASSERT_EQ(r.reason, TerminationReason::kBudget) << where;
-        EXPECT_GE(r.stats.generated, budget) << where;
-        EXPECT_LT(r.stats.generated,
-                  budget + static_cast<std::uint64_t>(threads) * per_expansion)
-            << where;
-      }
+      ParallelParams pp;
+      pp.threads = threads;
+      pp.base.rb.max_generated = budget;
+      const ParallelResult r = solve_bnb_parallel(ctx, pp);
+      const std::string where = "budget " + std::to_string(budget) +
+                                " threads " + std::to_string(threads);
+      // The instance is far larger than every budget, so each run stops
+      // on the cap rather than exhausting.
+      ASSERT_EQ(r.reason, TerminationReason::kBudget) << where;
+      EXPECT_GE(r.stats.generated, budget) << where;
+      EXPECT_LT(r.stats.generated,
+                budget + static_cast<std::uint64_t>(threads) * per_expansion)
+          << where;
     }
   }
 }
@@ -233,80 +226,48 @@ TEST(ParallelEngine, DisposedCountsWorkAbandonedByCancel) {
   EXPECT_GT(r.stats.disposed, 0u);
 }
 
-// Regression for the missed-wakeup race in Shared::request_stop: a stop
-// flag stored without holding queue_mutex can slip between a worker's wait
-// predicate and its block, leaving the worker asleep forever. Cancel under
-// load from a racing thread, at staggered delays, and require every run to
-// join promptly. Runs against both schedulers: the central queue's condvar
-// protocol and the work-stealing timed-park protocol each have their own
-// lost-wakeup surface.
+// Lost-wakeup regression for Shared::request_stop: a stop raised while
+// workers park must still end the search. Cancel under load from a racing
+// thread, at staggered delays, and require every run to join promptly —
+// the timed park bounds how long a worker can sleep through the flag.
 TEST(ParallelEngine, CancelUnderLoadStress) {
   const TaskGraph g = test::tight_instance(29);
   const SchedContext ctx = test::make_ctx(g, 2);
-  for (const ParallelScheduler sched :
-       {ParallelScheduler::kWorkStealing, ParallelScheduler::kCentralQueue}) {
-    for (int rep = 0; rep < 12; ++rep) {
-      CancelToken token;
-      ParallelParams pp;
-      pp.threads = 8;
-      pp.scheduler = sched;
-      pp.base.lb = LowerBound::kLB0;  // weak bound: plenty of live work
-      pp.base.cancel = &token;
-      std::thread canceller([&token, rep] {
-        std::this_thread::sleep_for(std::chrono::microseconds(rep * 300));
-        token.cancel();
-      });
-      const ParallelResult r = solve_bnb_parallel(ctx, pp);
-      canceller.join();
-      EXPECT_TRUE(r.found_solution);  // the EDF seed at minimum
-      EXPECT_TRUE(r.reason == TerminationReason::kCancelled ||
-                  r.reason == TerminationReason::kExhausted);
-    }
+  for (int rep = 0; rep < 12; ++rep) {
+    CancelToken token;
+    ParallelParams pp;
+    pp.threads = 8;
+    pp.base.lb = LowerBound::kLB0;  // weak bound: plenty of live work
+    pp.base.cancel = &token;
+    std::thread canceller([&token, rep] {
+      std::this_thread::sleep_for(std::chrono::microseconds(rep * 300));
+      token.cancel();
+    });
+    const ParallelResult r = solve_bnb_parallel(ctx, pp);
+    canceller.join();
+    EXPECT_TRUE(r.found_solution);  // the EDF seed at minimum
+    EXPECT_TRUE(r.reason == TerminationReason::kCancelled ||
+                r.reason == TerminationReason::kExhausted);
   }
 }
 
-// Idle-accounting regression (ISSUE 8 satellite): a wake -> queue-empty ->
-// re-sleep cycle must not double-decrement `idle`, or termination declares
-// early and the engine returns a wrong (unproved-but-marked-proved)
-// answer. Searches with very uneven subtree sizes at high thread counts
-// maximize wake/re-sleep churn; both engines assert their idle invariant
-// post-join (PARABB_ASSERT fires in debug builds), and here every run must
-// also prove the same optimum. 25 reps x 8 threads gives the race a real
-// chance to land if the accounting regresses.
+// Idle-accounting regression: a steal-sweep -> empty -> re-idle cycle
+// must not double-decrement `idle`, or termination declares early and the
+// engine returns a wrong (unproved-but-marked-proved) answer. Searches
+// with very uneven subtree sizes at high thread counts maximize that
+// churn; the engine asserts its idle invariant post-join, and here every
+// run must also prove the same optimum. 25 reps x 8 threads gives the
+// race a real chance to land if the accounting regresses.
 TEST(ParallelEngine, IdleAccountingStress) {
   const TaskGraph g = test::tight_instance(33);
   const SchedContext ctx = test::make_ctx(g, 2);
   const Time reference = solve_bnb(ctx, Params{}).best_cost;
-  for (const ParallelScheduler sched :
-       {ParallelScheduler::kWorkStealing, ParallelScheduler::kCentralQueue}) {
-    for (int rep = 0; rep < 25; ++rep) {
-      ParallelParams pp;
-      pp.threads = 8;
-      pp.scheduler = sched;
-      const ParallelResult r = solve_bnb_parallel(ctx, pp);
-      ASSERT_TRUE(r.proved) << to_string(sched) << " rep " << rep;
-      ASSERT_EQ(r.best_cost, reference) << to_string(sched) << " rep " << rep;
-    }
-  }
-}
-
-// The two schedulers must be observationally identical: same optimum, same
-// proof, on the same instances.
-TEST(ParallelEngine, SchedulersAgree) {
-  for (std::uint64_t seed = 50; seed < 58; ++seed) {
-    const TaskGraph g = test::tight_instance(seed);
-    const SchedContext ctx = test::make_ctx(g, 3);
-    ParallelParams ws;
-    ws.threads = 4;
-    ws.scheduler = ParallelScheduler::kWorkStealing;
-    ParallelParams central;
-    central.threads = 4;
-    central.scheduler = ParallelScheduler::kCentralQueue;
-    const ParallelResult a = solve_bnb_parallel(ctx, ws);
-    const ParallelResult b = solve_bnb_parallel(ctx, central);
-    ASSERT_TRUE(a.proved);
-    ASSERT_TRUE(b.proved);
-    EXPECT_EQ(a.best_cost, b.best_cost) << "seed " << seed;
+  for (int rep = 0; rep < 25; ++rep) {
+    ParallelParams pp;
+    pp.threads = 8;
+    const ParallelResult r = solve_bnb_parallel(ctx, pp);
+    ASSERT_TRUE(r.proved) << "rep " << rep;
+    ASSERT_EQ(r.best_cost, reference) << "rep " << rep;
   }
 }
 

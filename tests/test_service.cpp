@@ -424,22 +424,27 @@ TEST(Protocol, RejectsBadRequests) {
 }
 
 TEST(Protocol, SchedulerAndStealBatchParse) {
-  // Defaults: work stealing, auto batch.
+  // Default: auto batch.
   const JobRequest def = request_from_json(
       "{\"id\":\"s0\",\"graph\":\"task a exec=1\\n\"}");
-  EXPECT_EQ(def.scheduler, ParallelScheduler::kWorkStealing);
   EXPECT_EQ(def.steal_batch, 0);
 
+  // "ws", the only scheduler, is still accepted.
   const JobRequest ws = request_from_json(
       "{\"id\":\"s1\",\"graph\":\"task a exec=1\\n\",\"threads\":4,"
       "\"scheduler\":\"ws\",\"steal_batch\":2}");
-  EXPECT_EQ(ws.scheduler, ParallelScheduler::kWorkStealing);
   EXPECT_EQ(ws.steal_batch, 2);
 
-  const JobRequest central = request_from_json(
-      "{\"id\":\"s2\",\"graph\":\"task a exec=1\\n\",\"threads\":4,"
-      "\"scheduler\":\"central\"}");
-  EXPECT_EQ(central.scheduler, ParallelScheduler::kCentralQueue);
+  // The retired central-queue scheduler is a bad request.
+  try {
+    request_from_json(
+        "{\"id\":\"s2\",\"graph\":\"task a exec=1\\n\",\"threads\":4,"
+        "\"scheduler\":\"central\"}");
+    ADD_FAILURE() << "\"central\" was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("bad request: ", 0), 0u)
+        << e.what();
+  }
 
   EXPECT_THROW(request_from_json(
                    "{\"id\":\"s3\",\"graph\":\"task a exec=1\\n\","
@@ -451,23 +456,25 @@ TEST(Protocol, SchedulerAndStealBatchParse) {
                std::runtime_error);  // negative cap
 }
 
-TEST(Fingerprint, SchedulerIsACacheKeyDimensionOnlyWhenParallel) {
+TEST(Fingerprint, StealBatchIsACacheKeyDimensionOnlyWhenParallel) {
   const std::string base =
       "{\"id\":\"f\",\"graph\":\"task a exec=1\\ntask b exec=2\\n\"";
-  // Sequential requests: scheduler choice cannot affect the result, so it
-  // must not split the cache key.
+  // Naming the only scheduler changes nothing, so it must not split the
+  // cache key.
+  const JobRequest seq_plain = request_from_json(base + "}");
   const JobRequest seq_ws =
       request_from_json(base + ",\"scheduler\":\"ws\"}");
-  const JobRequest seq_central =
-      request_from_json(base + ",\"scheduler\":\"central\"}");
-  EXPECT_EQ(request_fingerprint(seq_ws), request_fingerprint(seq_central));
-  // Parallel requests: the scheduler and steal cap select a different
-  // engine configuration; distinct keys keep the cache honest.
+  EXPECT_EQ(request_fingerprint(seq_plain), request_fingerprint(seq_ws));
+  const JobRequest par_plain = request_from_json(base + ",\"threads\":4}");
   const JobRequest par_ws =
       request_from_json(base + ",\"threads\":4,\"scheduler\":\"ws\"}");
-  const JobRequest par_central =
-      request_from_json(base + ",\"threads\":4,\"scheduler\":\"central\"}");
-  EXPECT_NE(request_fingerprint(par_ws), request_fingerprint(par_central));
+  EXPECT_EQ(request_fingerprint(par_plain), request_fingerprint(par_ws));
+  // Sequential requests: the steal cap cannot affect the result either.
+  const JobRequest seq_batch =
+      request_from_json(base + ",\"steal_batch\":2}");
+  EXPECT_EQ(request_fingerprint(seq_plain), request_fingerprint(seq_batch));
+  // Parallel requests: the steal cap selects a different engine
+  // configuration; distinct keys keep the cache honest.
   const JobRequest par_batch = request_from_json(
       base + ",\"threads\":4,\"scheduler\":\"ws\",\"steal_batch\":2}");
   EXPECT_NE(request_fingerprint(par_ws), request_fingerprint(par_batch));

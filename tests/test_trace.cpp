@@ -1,111 +1,63 @@
-#include "parabb/bnb/trace.hpp"
-
+// The sequential engine's flight-recorder event stream must tell the same
+// story as its counters. With a ring large enough to drop nothing, the
+// events of one search are checked against its SearchStats:
+//
+//   * one kExpand per expanded vertex;
+//   * kIncumbent values strictly decrease, one per incumbent improvement,
+//     and the last equals the returned cost;
+//   * one kPrune with level >= 0 per pruned child (level -1 marks
+//     active-set removals, which SearchStats counts separately).
+//
+// test_cross_features repeats the prune check with BR and dominance
+// kills; ring mechanics (wraparound, ordering) are covered by test_obs.
 #include <gtest/gtest.h>
 
 #include "parabb/bnb/engine.hpp"
-#include "parabb/support/assert.hpp"
+#include "parabb/obs/observe.hpp"
+#include "parabb/obs/recorder.hpp"
 #include "test_util.hpp"
 
 namespace parabb {
 namespace {
 
-TEST(SearchTrace, RecordsInOrder) {
-  SearchTrace trace(16);
-  trace.record(TraceEvent::kExpand, 0, 5);
-  trace.record(TraceEvent::kGoal, 4, -3);
-  const auto log = trace.chronological();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].event, TraceEvent::kExpand);
-  EXPECT_EQ(log[0].value, 5);
-  EXPECT_EQ(log[1].event, TraceEvent::kGoal);
-  EXPECT_EQ(log[1].index, 1u);
-  EXPECT_EQ(trace.dropped(), 0u);
-}
-
-TEST(SearchTrace, RingDropsOldest) {
-  SearchTrace trace(4);
-  for (int i = 0; i < 10; ++i)
-    trace.record(TraceEvent::kActivate, i, i);
-  EXPECT_EQ(trace.total_events(), 10u);
-  EXPECT_EQ(trace.dropped(), 6u);
-  const auto log = trace.chronological();
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.front().value, 6);
-  EXPECT_EQ(log.back().value, 9);
-}
-
-TEST(SearchTrace, ClearResets) {
-  SearchTrace trace(4);
-  trace.record(TraceEvent::kExpand, 0, 0);
-  trace.clear();
-  EXPECT_EQ(trace.total_events(), 0u);
-  EXPECT_TRUE(trace.chronological().empty());
-}
-
-TEST(SearchTrace, ToStringMentionsEventsAndDrops) {
-  SearchTrace trace(2);
-  for (int i = 0; i < 3; ++i) trace.record(TraceEvent::kIncumbent, 5, -i);
-  const std::string s = trace.to_string();
-  EXPECT_NE(s.find("incumbent"), std::string::npos);
-  EXPECT_NE(s.find("dropped"), std::string::npos);
-}
-
-TEST(SearchTrace, RejectsZeroCapacity) {
-  EXPECT_THROW(SearchTrace(0), precondition_error);
-}
-
-TEST(SearchTrace, EventNames) {
-  EXPECT_EQ(to_string(TraceEvent::kExpand), "expand");
-  EXPECT_EQ(to_string(TraceEvent::kDispose), "dispose");
-  EXPECT_EQ(to_string(TraceEvent::kPruneChild), "prune-child");
-}
-
-TEST(SearchTrace, EngineEmitsCoherentEventStream) {
-  const TaskGraph g = test::tight_instance(2);
+TEST(FlightStream, SequentialEngineEmitsCoherentEventStream) {
+  const TaskGraph g = test::tight_instance(3);
   const SchedContext ctx = test::make_ctx(g, 2);
-  SearchTrace trace(1u << 22);
+  FlightRecorder rec(std::size_t{1} << 12);  // ~1000 events on this search
+  Observation ob;
+  ob.recorder = &rec;
   Params p;
-  p.trace = &trace;
+  p.ub = UpperBoundInit::kInfinite;  // the search finds every incumbent
+  p.observe = &ob;
   const SearchResult r = solve_bnb(ctx, p);
-  ASSERT_GT(trace.total_events(), 0u);
+  ASSERT_TRUE(r.proved);
+  const FlightChannel& ch = rec.channel(0);
+  ASSERT_EQ(ch.dropped(), 0u) << "ring too small for this search";
 
-  std::uint64_t expands = 0, goals = 0, incumbents = 0, activations = 0;
+  std::uint64_t expands = 0, child_prunes = 0, incumbents = 0;
   Time last_incumbent = kTimeInf;
-  for (const TraceRecord& rec : trace.chronological()) {
-    switch (rec.event) {
-      case TraceEvent::kExpand: ++expands; break;
-      case TraceEvent::kGoal:
-        ++goals;
-        EXPECT_EQ(rec.level, ctx.task_count());
+  for (const FlightEvent& e : ch.chronological()) {
+    switch (e.kind) {
+      case FlightEventKind::kExpand: ++expands; break;
+      case FlightEventKind::kPrune:
+        if (e.level >= 0) ++child_prunes;
         break;
-      case TraceEvent::kIncumbent:
+      case FlightEventKind::kIncumbent:
         ++incumbents;
+        EXPECT_EQ(e.level, ctx.task_count());
         // The incumbent strictly improves over time.
-        EXPECT_LT(rec.value, last_incumbent);
-        last_incumbent = rec.value;
+        EXPECT_LT(e.value, last_incumbent);
+        last_incumbent = e.value;
         break;
-      case TraceEvent::kActivate: ++activations; break;
       default: break;
     }
   }
-  if (trace.dropped() == 0) {
-    EXPECT_EQ(expands, r.stats.expanded);
-    EXPECT_EQ(goals, r.stats.goals);
-    EXPECT_EQ(incumbents, r.stats.goal_updates);
-    EXPECT_EQ(activations, r.stats.activated);
-    if (incumbents > 0) {
-      // The last recorded incumbent is the returned cost. (When the EDF
-      // seed is already optimal there are no incumbent events at all.)
-      EXPECT_EQ(last_incumbent, r.best_cost);
-    }
-  }
-}
-
-TEST(SearchTrace, NoTraceMeansNoEvents) {
-  const TaskGraph g = test::tiny_random(1, 6, 3);
-  const SchedContext ctx = test::make_ctx(g, 2);
-  const SearchResult r = solve_bnb(ctx, Params{});  // trace == nullptr
-  EXPECT_TRUE(r.found_solution);
+  EXPECT_GT(expands, 0u);
+  EXPECT_EQ(expands, r.stats.expanded);
+  EXPECT_GT(incumbents, 1u);
+  EXPECT_EQ(incumbents, r.stats.goal_updates);
+  EXPECT_EQ(last_incumbent, r.best_cost);
+  EXPECT_EQ(child_prunes, r.stats.pruned_children);
 }
 
 }  // namespace
