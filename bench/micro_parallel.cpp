@@ -1,102 +1,131 @@
 // Scaling micro-benchmark for the work-stealing parallel B&B engine.
 //
-// Measures whole-engine expansion throughput at a sweep of thread counts
-// and compares each against the same engine at 1 thread.
+// Measures whole-engine speed at a sweep of thread counts and compares each
+// against the same engine at 1 thread.
 //
-// Workload: the §4.1 generator scaled to 18–22 tasks (the paper's 12–16
-// task instances finish in ~100 µs and measure thread setup, not search)
-// with tight sliced deadlines (laxity 1.1), LB2. Tight deadlines put the
-// search in its fine-grained regime — dives die quickly under pruning, so
-// workers go back for work often — which is exactly where scheduling
-// overhead shows. Candidate instances are screened by a 1-thread reference
-// run: instances that hit the generated budget instead of exhausting are
-// dropped (and logged), because a budget-capped run does width-dependent
-// work and its throughput is not comparable.
+// Workload: the frozen tight-par pool of the repository benchmark
+// (perfbench/data/tight_par.json, read-only): §4.1 graphs scaled to 16–18
+// tasks, depth 6–9, path-sliced laxity 1.1, LB2, m = 3, whose sequential
+// search exhausts the tree after 400k–800k generated vertices. Every pool
+// entry carries its optimal cost, so there is no screening at run time
+// and no candidate is dropped: the first --graphs entries of the family
+// (by default the whole family of 24) are the instances, each 15–60 ms
+// long at 1 thread on a 4-vCPU Xeon.
 //
-// For each thread count the table reports expansions/sec, the speedup
-// over the 1-thread rate, the parallel efficiency (speedup / threads), the
-// steal success rate (steals that returned >= 1 vertex / steal probes)
-// and successful steals per 1000 expansions. Every run's optimal lateness
-// is checked against the
-// screening reference; a disagreement fails the benchmark — throughput
-// numbers from a wrong search are worthless.
+// For each thread count the table reports expansions/sec, the wall-time
+// speedup over 1 thread (1-thread time / N-thread time), the work ratio
+// (vertices expanded at N threads / at 1 thread), the parallel efficiency
+// (speedup / threads), the steal success rate (steals that returned >= 1
+// vertex / steal probes) and successful steals per 1000 expansions.
+// Speedup and rates are geometric means over (instance, repeat) samples.
+// Every run's optimal lateness is checked against the pool; a disagreement
+// fails the benchmark — numbers from a wrong search are worthless.
 //
-// Hand-rolled timing (aggregate vertices / aggregate seconds across
-// instances and repeats) instead of google-benchmark so the binary stays
+// Hand-rolled timing instead of google-benchmark so the binary stays
 // dependency-free and scriptable; --json writes a machine-readable
 // parabb-bench-v1 report.
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/deadline/slicing.hpp"
+#include "parabb/experiments/report.hpp"
 #include "parabb/platform/machine.hpp"
 #include "parabb/sched/context.hpp"
 #include "parabb/support/cli.hpp"
 #include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
-#include "parabb/support/timer.hpp"
 #include "parabb/workload/generator.hpp"
 
 namespace parabb {
 namespace {
 
 struct Instance {
-  std::unique_ptr<SchedContext> ctx;
+  std::uint64_t gen_seed = 0;
   TaskGraph graph;  ///< owns the graph the context points into
-  Time reference_cost = kTimeInf;
+  std::unique_ptr<SchedContext> ctx;
+  Time optimum = kTimeInf;  ///< the pool's recorded optimal cost
+  double base_seconds = 0.0;  ///< 1-thread wall time of the current repeat
+  double base_expanded = 0.0;
 };
 
 struct WidthRun {
-  double log_rate_sum = 0.0;  ///< sum of ln(expansions/sec) over samples
+  double log_rate_sum = 0.0;     ///< sum of ln(expansions/sec)
+  double log_speedup_sum = 0.0;  ///< sum of ln(1-thread time / this time)
+  double log_work_sum = 0.0;     ///< sum of ln(expanded / 1-thread expanded)
   int samples = 0;
   double steals_attempted = 0.0;
   double steals_succeeded = 0.0;
   double expanded = 0.0;
 
-  double expansions_per_sec() const {
-    return samples > 0 ? std::exp(log_rate_sum / samples) : 0.0;
+  double geomean(double log_sum) const {
+    return samples > 0 ? std::exp(log_sum / samples) : 0.0;
   }
 };
 
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
+/// The tight-par pool generator: perfbench's tight_config() and
+/// make_graph(), restated so the bench does not link the benchmark harness.
+TaskGraph pool_graph(std::uint64_t gen_seed) {
+  GeneratorConfig cfg = paper_config();
+  cfg.n_min = 16;
+  cfg.n_max = 18;
+  cfg.depth_min = 6;
+  cfg.depth_max = 9;
+  GeneratedGraph g = generate_graph(cfg, gen_seed);
+  SlicingConfig s;
+  s.base = LaxityBase::kPathWork;
+  s.laxity = 1.1;
+  assign_deadlines_slicing(g.graph, s);
+  return std::move(g.graph);
+}
+
+/// The first `count` entries of `family` in the pool file, in pool order.
+std::vector<Instance> load_pool(const std::string& path,
+                                const std::string& family, int count,
+                                const Machine& machine) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot read pool file " + path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const JsonValue doc = JsonValue::parse(text.str());
+  const JsonValue* families = doc.find("families");
+  const JsonValue* fam = families ? families->find(family) : nullptr;
+  const JsonValue* entries = fam ? fam->find("instances") : nullptr;
+  if (entries == nullptr)
+    throw std::runtime_error("pool file has no family '" + family + "'");
+  std::vector<Instance> out;
+  for (const JsonValue& e : entries->items()) {
+    if (static_cast<int>(out.size()) >= count) break;
+    Instance inst;
+    inst.gen_seed = static_cast<std::uint64_t>(e.items().at(0).as_int());
+    inst.optimum = e.items().at(1).as_int();
+    inst.graph = pool_graph(inst.gen_seed);
+    inst.ctx = std::make_unique<SchedContext>(inst.graph, machine);
+    out.push_back(std::move(inst));
   }
-  out.set("rows", std::move(rows));
   return out;
 }
 
 int run(int argc, const char* const* argv) {
   ArgParser parser("micro_parallel",
-                   "parallel B&B expansions/sec, speedup and efficiency "
-                   "across thread counts against 1 thread");
+                   "parallel B&B speedup, work ratio and efficiency across "
+                   "thread counts against 1 thread, on the frozen tight-par "
+                   "pool");
   parser.add_option("threads",
                     "thread counts to sweep (1 is always measured)",
                     "1,2,4,8");
-  parser.add_option("procs", "processors in the machine model", "3");
-  parser.add_option("seed", "base RNG seed", "20250809");
-  parser.add_option("graphs", "screened instances per configuration", "3");
-  parser.add_option("repeats", "measured runs per instance", "4");
-  parser.add_option("tasks-min", "generator minimum task count", "18");
-  parser.add_option("tasks-max", "generator maximum task count", "22");
-  parser.add_option("laxity", "sliced-deadline laxity ratio", "1.1");
-  parser.add_option("budget",
-                    "screening max_generated: candidates that cannot "
-                    "exhaust within it are dropped",
-                    "3000000");
+  parser.add_option("pool", "tight-par pool file (read-only)",
+                    PARABB_TIGHT_PAR_POOL);
+  parser.add_option("family", "pool family: dev or heldout", "dev");
+  parser.add_option("graphs", "pool instances, in pool order", "24");
+  parser.add_option("repeats", "measured runs per instance", "2");
   parser.add_option("steal-batch",
                     "ws steal cap (0 = half the victim's deque)", "0");
   parser.add_option("json", "write a parabb-bench-v1 report to this path",
@@ -104,14 +133,9 @@ int run(int argc, const char* const* argv) {
   parser.add_flag("quick", "one tiny iteration (bench_smoke)");
   if (!parser.parse(argc, argv)) return 0;
 
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(parser.get_int("seed"));
-  const int procs = static_cast<int>(parser.get_int("procs"));
   int graphs = static_cast<int>(parser.get_int("graphs"));
   int repeats = static_cast<int>(parser.get_int("repeats"));
-  std::uint64_t budget =
-      static_cast<std::uint64_t>(parser.get_int("budget"));
-  const double laxity = parser.get_double("laxity");
+  const std::string family = parser.get_string("family");
   const int steal_batch = static_cast<int>(parser.get_int("steal-batch"));
   std::vector<int> thread_counts{1};  // the speedup base
   for (const std::int64_t t : parser.get_int_list("threads"))
@@ -119,98 +143,65 @@ int run(int argc, const char* const* argv) {
   if (parser.has_flag("quick")) {
     graphs = 1;
     repeats = 1;
-    budget = 30000;
     thread_counts = {1, 2};
   }
 
-  GeneratorConfig cfg = paper_config();
-  cfg.n_min = static_cast<int>(parser.get_int("tasks-min"));
-  cfg.n_max = static_cast<int>(parser.get_int("tasks-max"));
-  cfg.depth_min = 6;
-  cfg.depth_max = 9;
-  if (parser.has_flag("quick")) {
-    cfg.n_min = 12;  // small enough to exhaust within the quick budget
-    cfg.n_max = 13;
-    cfg.depth_min = 5;
-    cfg.depth_max = 7;
+  constexpr int kProcs = 3;
+  const Machine machine = make_shared_bus_machine(kProcs);
+  std::vector<Instance> instances =
+      load_pool(parser.get_string("pool"), family, graphs, machine);
+  if (instances.empty()) {
+    std::fprintf(stderr, "the pool family has no instances\n");
+    return 1;
   }
 
   std::printf("# micro_parallel\n");
-  std::printf("workload: §4.1 generator scaled to %d-%d tasks, tight "
-              "sliced deadlines (laxity %.2f), LB2, %d procs; "
-              "%d instances x %d repeats per point\n",
-              cfg.n_min, cfg.n_max, laxity, procs, graphs, repeats);
+  std::printf("workload: tight-par pool family '%s' (16-18 tasks, laxity "
+              "1.1, LB2, %d procs, 400k-800k generated each); "
+              "%zu instances x %d repeats per point\n",
+              family.c_str(), kProcs, instances.size(), repeats);
   std::fflush(stdout);
 
   const auto solve = [&](const SchedContext& ctx, int threads) {
     ParallelParams pp;
     pp.base.lb = LowerBound::kLB2;
-    pp.base.rb.max_generated = budget;
     pp.threads = threads;
     pp.steal_batch = steal_batch;
     return solve_bnb_parallel(ctx, pp);
   };
 
-  // Screening: keep the first `graphs` candidates whose 1-thread run
-  // exhausts the tree (proving its cost optimal); that
-  // run's cost is the agreement reference for every measured run.
-  const Machine machine = make_shared_bus_machine(procs);
-  std::vector<Instance> instances;
-  for (std::uint64_t c = 0;
-       c < static_cast<std::uint64_t>(graphs) * 8 &&
-       instances.size() < static_cast<std::size_t>(graphs);
-       ++c) {
-    GeneratedGraph g = generate_graph(cfg, seed + 10 * c);
-    SlicingConfig scfg;
-    scfg.base = LaxityBase::kPathWork;
-    scfg.laxity = laxity;
-    assign_deadlines_slicing(g.graph, scfg);
-    Instance inst;
-    inst.graph = std::move(g.graph);
-    inst.ctx = std::make_unique<SchedContext>(inst.graph, machine);
-    const ParallelResult ref = solve(*inst.ctx, 1);
-    if (ref.reason != TerminationReason::kExhausted) {
-      std::printf("screened out candidate seed %llu: stopped before "
-                  "exhausting (budget %llu)\n",
-                  static_cast<unsigned long long>(seed + 10 * c),
-                  static_cast<unsigned long long>(budget));
-      continue;
-    }
-    inst.reference_cost = ref.best_cost;
-    instances.push_back(std::move(inst));
-  }
-  if (instances.empty()) {
-    std::fprintf(stderr, "no candidate instance exhausted within the "
-                         "budget; raise --budget\n");
-    return 1;
-  }
-
-  // Interleaved measurement: for every (instance, repeat) each thread
-  // count runs once, in an order rotated per sample, and contributes one
-  // rate sample. Machine-wide noise (this is often a shared box) then
-  // spreads over every width instead of whichever ran last. Rates
-  // aggregate by geometric mean, so a speedup is the geomean of per-sample
-  // rates — one slow outlier run cannot swing it the way pooled totals
-  // would.
+  // Interleaved measurement: for every (instance, repeat) the 1-thread
+  // base runs first (the speedup and work ratio need it), then the other
+  // thread counts in an order rotated per sample, so machine-wide noise
+  // spreads over every width instead of whichever ran last.
   std::vector<WidthRun> runs(thread_counts.size());
   bool all_agree = true;
-  const auto one = [&](std::size_t w, const Instance& inst) {
+  const auto one = [&](std::size_t w, Instance& inst) {
     const int threads = thread_counts[w];
     const ParallelResult res = solve(*inst.ctx, threads);
-    if (res.best_cost != inst.reference_cost) {
+    if (res.best_cost != inst.optimum ||
+        res.reason != TerminationReason::kExhausted) {
       all_agree = false;
-      std::fprintf(stderr, "COST MISMATCH: %d threads gave %lld, "
-                           "reference %lld\n",
-                   threads, static_cast<long long>(res.best_cost),
-                   static_cast<long long>(inst.reference_cost));
+      std::fprintf(stderr, "COST MISMATCH: seed %llu at %d threads gave "
+                           "%lld, pool optimum %lld\n",
+                   static_cast<unsigned long long>(inst.gen_seed), threads,
+                   static_cast<long long>(res.best_cost),
+                   static_cast<long long>(inst.optimum));
+    }
+    const auto expanded = static_cast<double>(res.stats.expanded);
+    if (w == 0) {
+      inst.base_seconds = res.stats.seconds;
+      inst.base_expanded = expanded;
     }
     WidthRun& run = runs[w];
     run.steals_attempted += static_cast<double>(res.stats.steals_attempted);
     run.steals_succeeded += static_cast<double>(res.stats.steals_succeeded);
-    run.expanded += static_cast<double>(res.stats.expanded);
-    if (res.stats.seconds > 0.0 && res.stats.expanded > 0) {
-      run.log_rate_sum += std::log(static_cast<double>(res.stats.expanded) /
-                                   res.stats.seconds);
+    run.expanded += expanded;
+    if (res.stats.seconds > 0.0 && expanded > 0.0 &&
+        inst.base_seconds > 0.0 && inst.base_expanded > 0.0) {
+      run.log_rate_sum += std::log(expanded / res.stats.seconds);
+      run.log_speedup_sum += std::log(inst.base_seconds / res.stats.seconds);
+      run.log_work_sum += std::log(expanded / inst.base_expanded);
       ++run.samples;
     }
   };
@@ -222,30 +213,33 @@ int run(int argc, const char* const* argv) {
   const std::size_t widths = thread_counts.size();
   for (std::size_t ii = 0; ii < instances.size(); ++ii) {
     for (int r = 0; r < repeats; ++r) {
-      const std::size_t start = (ii + static_cast<std::size_t>(r)) % widths;
-      for (std::size_t k = 0; k < widths; ++k) {
-        one((start + k) % widths, instances[ii]);
+      one(0, instances[ii]);
+      const std::size_t others = widths - 1;
+      for (std::size_t k = 0; k < others; ++k) {
+        one(1 + (ii + static_cast<std::size_t>(r) + k) % others,
+            instances[ii]);
       }
     }
   }
 
   TextTable table;
-  table.set_header({"threads", "exp/s", "speedup", "efficiency%",
-                    "steal ok%", "steals/kexp"});
-  const double base_rate = runs[0].expansions_per_sec();
+  table.set_header({"threads", "exp/s", "speedup", "work ratio",
+                    "efficiency%", "steal ok%", "steals/kexp"});
   double speedup_at_max_threads = 0.0;
   double efficiency_at_max_threads = 0.0;
   for (std::size_t w = 0; w < widths; ++w) {
     const WidthRun& run = runs[w];
     const int t = thread_counts[w];
-    const double speedup =
-        base_rate > 0.0 ? run.expansions_per_sec() / base_rate : 0.0;
+    const double speedup = run.geomean(run.log_speedup_sum);
     const double efficiency = speedup / t;
     speedup_at_max_threads = speedup;
     efficiency_at_max_threads = efficiency;
     table.add_row(
-        {std::to_string(t), fmt_double(run.expansions_per_sec() / 1e3, 1) + "k",
-         fmt_double(speedup, 2) + "x", fmt_double(efficiency * 100.0, 1),
+        {std::to_string(t),
+         fmt_double(run.geomean(run.log_rate_sum) / 1e3, 1) + "k",
+         fmt_double(speedup, 2) + "x",
+         fmt_double(run.geomean(run.log_work_sum), 3),
+         fmt_double(efficiency * 100.0, 1),
          fmt_double(run.steals_attempted > 0.0
                         ? 100.0 * run.steals_succeeded / run.steals_attempted
                         : 0.0,
@@ -256,28 +250,23 @@ int run(int argc, const char* const* argv) {
                     2)});
   }
 
-  std::printf("\n## work-stealing throughput by thread count\n%s\n",
+  std::printf("\n## work-stealing speedup by thread count\n%s\n",
               table.to_string().c_str());
-  std::printf("costs %s across every thread-count run\n",
+  std::printf("costs %s with the pool optimum in every run\n",
               all_agree ? "AGREE" : "DISAGREE");
 
   const std::string json_path = parser.get_string("json");
   if (!json_path.empty()) {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "parabb-bench-v1");
-    doc.set("bench", "micro_parallel");
+    JsonValue doc = bench_document("micro_parallel");
     JsonValue threads = JsonValue::array();
     for (const int t : thread_counts) threads.push_back(t);
     doc.set("threads", std::move(threads));
     JsonValue plan = JsonValue::object();
-    plan.set("procs", procs);
-    plan.set("graphs", graphs);
-    plan.set("instances_kept", static_cast<std::int64_t>(instances.size()));
+    plan.set("pool", "perfbench/data/tight_par.json");
+    plan.set("family", family);
+    plan.set("procs", kProcs);
+    plan.set("instances", static_cast<std::int64_t>(instances.size()));
     plan.set("repeats", repeats);
-    plan.set("tasks_min", cfg.n_min);
-    plan.set("tasks_max", cfg.n_max);
-    plan.set("laxity", laxity);
-    plan.set("screening_budget", budget);
     doc.set("replication", std::move(plan));
     doc.set("costs_agree", all_agree);
     doc.set("speedup_at_max_threads", speedup_at_max_threads);

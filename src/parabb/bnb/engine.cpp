@@ -69,6 +69,8 @@ namespace {
 struct StagedChild {
   Time lb = 0;
   int order = 0;  ///< generation index, for deterministic tie-breaking
+  TaskId task = kNoTask;  ///< the placement that made it from its parent
+  ProcId proc = kNoProc;
   SlotRef ref;
 };
 
@@ -174,6 +176,24 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
   // Scratch state of the vertex being expanded: the popped parent is copied
   // straight into it and its children are evaluated in place.
   PartialSchedule cur;
+
+  // In-hand LIFO dive. Under LIFO the next vertex is the best child just
+  // staged; instead of pushing it and popping it straight back, the engine
+  // keeps it in hand: one place() turns `cur` into it, so `inc` stays
+  // attached and its expansion skips the pool copy-out and the O(n)
+  // attach. Its pool slot and seq are assigned exactly as if it had been
+  // pushed, so pool accounting and vertex order do not change.
+  // flush_hand() pushes it back where LIFO would have it whenever the
+  // active set must be exact: at the poll point, before MAXSZAS disposal,
+  // and when the loop ends.
+  bool in_hand = false;
+  VertexEntry hand;
+  const auto active_count = [&] { return as.size() + (in_hand ? 1u : 0u); };
+  const auto flush_hand = [&] {
+    if (!in_hand) return;
+    as.push(hand);
+    in_hand = false;
+  };
 
   // Graceful-degradation ladder (robust/degrade.hpp): consulted only at
   // the amortized poll point, and only when enabled with a finite memory
@@ -345,7 +365,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
 
   // --- Step 3-10: main loop. ---
   try {
-    while (!as.empty()) {
+    while (in_hand || !as.empty()) {
       // Deterministic effort caps are enforced exactly (two comparisons per
       // expansion): the service's golden tests rely on a max_generated
       // budget tripping at the same vertex on every run.
@@ -358,6 +378,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       // so the checks (one relaxed load, one clock read) stay off the hot
       // path.
       if ((++iter & 0xFFu) == 0) {
+        flush_hand();  // the checkpoint and the ladder read the active set
         so.budget_checkpoint(static_cast<std::int64_t>(stats.generated));
         so.flush(stats);
         if (params.progress) {
@@ -460,14 +481,15 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       // hopeless after they were pushed.
       if (params.elim == ElimRule::kUDBAS ||
           effective_select == SelectRule::kLLB) {
-        if (as.peek().lb >= threshold) {
+        if ((in_hand ? hand : as.peek()).lb >= threshold) {
           if (effective_select == SelectRule::kLLB) {
             // Least bound already >= incumbent: nothing can improve.
             result.reason = TerminationReason::kBoundStop;
             break;
           }
           if (params.elim == ElimRule::kUDBAS) {
-            const VertexEntry e = as.pop();
+            const VertexEntry e = in_hand ? hand : as.pop();
+            in_hand = false;
             if (params.certify) {
               const auto* v = static_cast<const Vertex*>(pool.get(e.ref));
               params.certify->record_cut(
@@ -482,8 +504,15 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         }
       }
 
-      const VertexEntry entry = as.pop();
-      cur = static_cast<const Vertex*>(pool.get(entry.ref))->state;
+      VertexEntry entry;
+      if (in_hand) {
+        entry = hand;  // already in `cur`, with `inc` attached
+        in_hand = false;
+      } else {
+        entry = as.pop();
+        cur = static_cast<const Vertex*>(pool.get(entry.ref))->state;
+        inc.attach(cur);
+      }
       pool.release(entry.ref);
       ++stats.expanded;
       so.expand(cur.count(), entry.lb);
@@ -506,10 +535,11 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
            !goal_children && params.certify == nullptr)
               ? threshold
               : kTimeInf;
-      inc.attach(cur);
+      // The cheapest goal child, as the placement that makes it from `cur`;
+      // the schedule is only rebuilt when it improves the incumbent.
       Time best_goal = kTimeInf;
-      PartialSchedule best_goal_state;
-      bool have_goal = false;
+      TaskId best_goal_task = kNoTask;
+      ProcId best_goal_proc = kNoProc;
       int children = 0;
       for (const TaskId t : tasks) {
         for (ProcId p = 0; p < ctx.proc_count(); ++p) {
@@ -531,8 +561,8 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
             ++stats.goals;
             if (lb < best_goal) {
               best_goal = lb;
-              best_goal_state = cur;
-              have_goal = true;
+              best_goal_task = t;
+              best_goal_proc = p;
             }
           } else if (params.characteristic &&
                      !params.characteristic(ctx, cur)) {
@@ -564,7 +594,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
             if (params.faults) params.faults->on_alloc(stats.generated);
             const SlotRef ref = pool.allocate();
             static_cast<Vertex*>(pool.get(ref))->state = cur;
-            staged.push_back(StagedChild{lb, children, ref});
+            staged.push_back(StagedChild{lb, children, t, p, ref});
           }
           inc.unplace(cur, t);
         }
@@ -574,9 +604,11 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       // Incumbent update from the cheapest goal in DB (goal vertices never
       // enter the active set).
       bool improved = false;
-      if (have_goal && best_goal < incumbent) {
+      if (best_goal_task != kNoTask && best_goal < incumbent) {
         incumbent = best_goal;
-        result.best = Schedule::from_partial(ctx, best_goal_state);
+        PartialSchedule goal = cur;
+        goal.place(ctx, best_goal_task, best_goal_proc);
+        result.best = Schedule::from_partial(ctx, goal);
         result.found_solution = true;
         ++stats.goal_updates;
         improved = true;
@@ -646,7 +678,8 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
       }
 
       // Step 9: move surviving children into AS, most promising popped first
-      // for the stack/queue disciplines.
+      // for the stack/queue disciplines. Under LIFO the last one, which the
+      // next pop would return, goes in hand instead.
       if (params.sort_children && effective_select != SelectRule::kLLB) {
         std::sort(staged.begin(), staged.end(),
                   [](const StagedChild& a, const StagedChild& b) {
@@ -654,19 +687,29 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
                     return a.order > b.order;
                   });
       }
+      const bool dive =
+          effective_select == SelectRule::kLIFO && !staged.empty();
       for (const StagedChild& c : staged) {
         auto* v = static_cast<Vertex*>(pool.get(c.ref));
         v->lb = c.lb;
         v->seq = next_seq;
-        as.push(VertexEntry{c.lb, next_seq, c.ref});
+        const VertexEntry e{c.lb, next_seq, c.ref};
         ++next_seq;
         ++stats.activated;
+        if (dive && &c == &staged.back()) {
+          hand = e;
+          in_hand = true;
+          inc.place(cur, c.task, c.proc);
+        } else {
+          as.push(e);
+        }
       }
 
       // RB.MAXSZAS: dispose of the worst active vertices when over budget.
       // Drop an extra 25% of the budget so the O(|AS|) disposal scan is
       // amortized instead of firing on every subsequent expansion.
-      if (as.size() > params.rb.max_active) {
+      if (active_count() > params.rb.max_active) {
+        flush_hand();
         const std::size_t excess = as.size() - params.rb.max_active +
                                    params.rb.max_active / 4;
         compromise_floor = std::min(compromise_floor, as.min_lb());
@@ -677,7 +720,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
         compromised = true;
       }
 
-      stats.peak_active = std::max(stats.peak_active, as.size());
+      stats.peak_active = std::max(stats.peak_active, active_count());
       stats.peak_memory_bytes =
           std::max(stats.peak_memory_bytes, pool.memory_bytes());
     }
@@ -692,6 +735,7 @@ SearchResult solve_bnb(const SchedContext& ctx, const Params& params) {
     compromised = true;
     compromise_floor = kTimeNegInf;
   }
+  flush_hand();
 
   result.best_cost = incumbent;
   result.proved = result.found_solution && !compromised &&

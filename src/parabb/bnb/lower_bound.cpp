@@ -108,81 +108,4 @@ void IncrementalLB::attach(const PartialSchedule& ps) noexcept {
   depth_ = 0;
 }
 
-CTime IncrementalLB::place(PartialSchedule& ps, TaskId t, ProcId p) noexcept {
-  const SchedContext& ctx = *ctx_;
-  const CTime before = ps.proc_avail(p);
-  const CTime s = ps.place(ctx, t, p);
-  const CTime f = s + ctx.exec(t);
-  avail_sum_ += Time{f} - Time{before};
-  unsched_work_ -= Time{ctx.exec(t)};
-  unsched_topo_ &= ~(1ULL << ctx.topo_rank(t));
-  unsched_dl_ &= ~(1ULL << ctx.deadline_rank(t));
-  fhat_[static_cast<std::size_t>(t)] = Time{f};
-  PARABB_ASSERT(depth_ <= kMaxTasks);
-  undo_[static_cast<std::size_t>(depth_++)] = Undo{worst_sched_, before, t};
-  worst_sched_ = std::max(worst_sched_, Time{f} - Time{ctx.deadline(t)});
-  return s;
-}
-
-void IncrementalLB::unplace(PartialSchedule& ps, TaskId t) noexcept {
-  const SchedContext& ctx = *ctx_;
-  PARABB_ASSERT(depth_ > 0);
-  const Undo& undo = undo_[static_cast<std::size_t>(--depth_)];
-  PARABB_ASSERT(undo.task == t);
-  const CTime finish = ps.proc_avail(ps.proc(t));
-  ps.unplace(ctx, t, undo.frontier);
-  avail_sum_ -= Time{finish} - Time{undo.frontier};
-  unsched_work_ += Time{ctx.exec(t)};
-  unsched_topo_ |= 1ULL << ctx.topo_rank(t);
-  unsched_dl_ |= 1ULL << ctx.deadline_rank(t);
-  worst_sched_ = undo.worst_sched;
-}
-
-Time IncrementalLB::evaluate(const PartialSchedule& ps, LowerBound kind,
-                             Time cutoff) noexcept {
-  const SchedContext& ctx = *ctx_;
-  // Seeding with exact floors (the scheduled prefix and the static
-  // a+c−D floor, both <= every f̂−D they cover) cannot change the final
-  // maximum — it only lets the cutoff fire before any work happens.
-  Time worst = std::max(worst_sched_, ctx.static_lateness_floor());
-  if (worst >= cutoff) return worst;
-
-  const bool contention = kind != LowerBound::kLB0;
-  const Time lmin = contention ? Time{ps.min_proc_avail(ctx)} : 0;
-  const auto order = ctx.topo_order();
-  for (std::uint64_t rest = unsched_topo_; rest != 0; rest &= rest - 1) {
-    const TaskId t = order[static_cast<std::size_t>(std::countr_zero(rest))];
-    const Time a = Time{ctx.arrival(t)};
-    Time start_floor = contention ? std::max(a, lmin) : a;
-    const auto preds = ctx.pred_ids(t);
-    for (std::size_t k = 0; k < preds.size(); ++k) {
-      start_floor = std::max(
-          start_floor, fhat_[static_cast<std::size_t>(preds[k])]);
-    }
-    const Time f = start_floor + Time{ctx.exec(t)};
-    fhat_[static_cast<std::size_t>(t)] = f;
-    worst = std::max(worst, f - Time{ctx.deadline(t)});
-    if (worst >= cutoff) return worst;
-  }
-
-  if (kind == LowerBound::kLB2 && unsched_dl_ != 0) {
-    const Time m = ctx.proc_count();
-    // No candidate at deadline rank >= r can exceed cap − d_r (its work
-    // term is <= unsched_work_ and deadlines are nondecreasing in rank),
-    // so once cap − d_r <= worst the remaining suffix is settled exactly.
-    const Time cap = (avail_sum_ + unsched_work_ + m - 1) / m;
-    Time work = 0;
-    for (std::uint64_t rest = unsched_dl_; rest != 0; rest &= rest - 1) {
-      const int r = std::countr_zero(rest);
-      const Time d = Time{ctx.deadline_at_rank(r)};
-      if (cap - d <= worst) break;
-      work += Time{ctx.exec_at_deadline_rank(r)};
-      const Time completion = (avail_sum_ + work + m - 1) / m;
-      worst = std::max(worst, completion - d);
-      if (worst >= cutoff) return worst;
-    }
-  }
-  return worst;
-}
-
 }  // namespace parabb

@@ -1,6 +1,8 @@
 #include "parabb/experiments/report.hpp"
 
 #include <cstdio>
+#include <fstream>
+#include <thread>
 
 #include "parabb/support/assert.hpp"
 
@@ -92,6 +94,53 @@ void emit(const std::string& heading, const TextTable& table,
     std::printf("(csv written to %s)\n", csv_path.c_str());
   }
   std::fflush(stdout);
+}
+
+JsonValue table_to_json(const TextTable& table) {
+  JsonValue out = JsonValue::object();
+  JsonValue header = JsonValue::array();
+  for (const std::string& cell : table.header()) header.push_back(cell);
+  out.set("header", std::move(header));
+  JsonValue rows = JsonValue::array();
+  for (const auto& row : table.rows()) {
+    if (row.empty()) continue;  // horizontal rule, not data
+    JsonValue r = JsonValue::array();
+    for (const std::string& cell : row) r.push_back(cell);
+    rows.push_back(std::move(r));
+  }
+  out.set("rows", std::move(rows));
+  return out;
+}
+
+namespace {
+
+JsonValue host_json() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      cpu_model = line.substr(colon + 2);
+    break;
+  }
+  JsonValue host = JsonValue::object();
+  host.set("nproc",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu_model", cpu_model);
+  host.set("compiler", PARABB_COMPILER);
+  host.set("build_type", PARABB_BUILD_TYPE);
+  return host;
+}
+
+}  // namespace
+
+JsonValue bench_document(const std::string& bench_id) {
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", "parabb-bench-v1");
+  doc.set("bench", bench_id);
+  doc.set("host", host_json());
+  return doc;
 }
 
 }  // namespace parabb

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "parabb/experiments/experiment.hpp"
+#include "parabb/support/json.hpp"
 #include "parabb/support/table.hpp"
 
 namespace parabb {
@@ -23,5 +24,14 @@ TextTable make_ratio_table(const ExperimentConfig& config,
 /// `csv_path` (empty = skip).
 void emit(const std::string& heading, const TextTable& table,
           const std::string& csv_path = {});
+
+/// `table` as parabb-bench-v1 {header, rows} (rule rows dropped).
+JsonValue table_to_json(const TextTable& table);
+
+/// A parabb-bench-v1 document for `bench_id` with its schema, bench name
+/// and host block set — the machine the measurement ran on: nproc, CPU
+/// model, compiler and build type, as in perfbench's host block. The
+/// caller adds its plan and tables.
+JsonValue bench_document(const std::string& bench_id);
 
 }  // namespace parabb

@@ -103,9 +103,12 @@ class SlotPool {
     return (n + a - 1) / a * a;
   }
 
+  // Payloads are uninitialized (allocate()'s contract), so the chunk is
+  // not zero-filled: an 8192-slot chunk is ~2 MB, and zeroing it would
+  // cost a short search more than the search itself.
   void grow() {
-    auto chunk = std::make_unique<std::byte[]>(payload_bytes_ *
-                                               slots_per_chunk_);
+    auto chunk = std::make_unique_for_overwrite<std::byte[]>(
+        payload_bytes_ * slots_per_chunk_);
     chunks_.push_back(std::move(chunk));
     capacity_ += slots_per_chunk_;
     generations_.resize(capacity_, 0);

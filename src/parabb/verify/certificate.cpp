@@ -49,7 +49,7 @@ std::vector<CutPlacement> placement_path(const SchedContext& ctx,
 }
 
 CertificateBuilder::CertificateBuilder(std::size_t max_cuts)
-    : max_cuts_(max_cuts) {}
+    : max_cuts_(max_cuts), full_(max_cuts == 0) {}
 
 void CertificateBuilder::begin(const SchedContext& ctx, int lb_kind,
                                bool branch_complete, double br,
@@ -62,11 +62,20 @@ void CertificateBuilder::begin(const SchedContext& ctx, int lb_kind,
   cert_.branch_complete = branch_complete;
   cert_.br = br;
   cert_.params_summary = std::move(params_summary);
+  full_.store(max_cuts_ == 0, std::memory_order_relaxed);
+  dropped_.store(false, std::memory_order_relaxed);
 }
 
 void CertificateBuilder::record_cut(const SchedContext& ctx,
                                     const PartialSchedule& state,
                                     CutRule rule, Time claimed_bound) {
+  // Once the log is full every further cut is dropped: note the drop and
+  // return before building the path or taking the lock.
+  if (full_.load(std::memory_order_relaxed)) {
+    if (!dropped_.load(std::memory_order_relaxed))
+      dropped_.store(true, std::memory_order_relaxed);
+    return;
+  }
   std::vector<CutPlacement> path = placement_path(ctx, state);
   std::lock_guard lock(mutex_);
   if (cert_.cuts.size() >= max_cuts_) {
@@ -75,6 +84,8 @@ void CertificateBuilder::record_cut(const SchedContext& ctx,
   }
   cert_.cuts.push_back(
       {state.fingerprint(), rule, claimed_bound, std::move(path)});
+  if (cert_.cuts.size() >= max_cuts_)
+    full_.store(true, std::memory_order_relaxed);
 }
 
 void CertificateBuilder::record_degrade(std::string action,
@@ -103,7 +114,7 @@ void CertificateBuilder::export_state(std::vector<CutRecord>& cuts,
   std::lock_guard lock(mutex_);
   cuts = cert_.cuts;
   degrades = cert_.degrades;
-  truncated = cert_.truncated;
+  truncated = cert_.truncated || dropped_.load(std::memory_order_relaxed);
 }
 
 void CertificateBuilder::restore_state(std::vector<CutRecord> cuts,
@@ -113,10 +124,13 @@ void CertificateBuilder::restore_state(std::vector<CutRecord> cuts,
   cert_.cuts = std::move(cuts);
   cert_.degrades = std::move(degrades);
   cert_.truncated = truncated || cert_.cuts.size() > max_cuts_;
+  full_.store(cert_.cuts.size() >= max_cuts_, std::memory_order_relaxed);
+  dropped_.store(false, std::memory_order_relaxed);
 }
 
 Certificate CertificateBuilder::take() {
   std::lock_guard lock(mutex_);
+  if (dropped_.load(std::memory_order_relaxed)) cert_.truncated = true;
   return std::move(cert_);
 }
 

@@ -21,6 +21,7 @@
 // optimality replay.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -147,6 +148,12 @@ class CertificateBuilder {
   mutable std::mutex mutex_;
   Certificate cert_;
   std::size_t max_cuts_;
+  /// The log holds max_cuts_ records: record_cut returns at once. Set
+  /// under the lock, read without it; re-derived by begin/restore_state.
+  std::atomic<bool> full_;
+  /// A cut arrived while full_ was set; folded into `truncated` when the
+  /// log is read (export_state, take).
+  std::atomic<bool> dropped_{false};
 };
 
 /// The replayable placement list of `state`: every scheduled task's

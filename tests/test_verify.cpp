@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "parabb/bnb/brute_force.hpp"
 #include "parabb/bnb/engine.hpp"
@@ -311,6 +312,53 @@ TEST(Verify, BrTolerantCertificateChecksAgainstRelaxedThreshold) {
   options.audit_only = true;  // paper-sized: the cut audit is the point
   const VerifyReport report = verify_certificate(g, machine, cert, options);
   EXPECT_TRUE(report.cuts_sound) << report.summary();
+}
+
+TEST(CertificateBuilder, TruncatedOnlyOnceACutIsDropped) {
+  // A log that reaches its cap exactly is complete; the first cut past the
+  // cap is dropped and marks it truncated — in take(), in export_state(),
+  // and after a restore into a builder whose log is already full.
+  const SchedContext ctx = test::make_ctx(test::small_diamond(), 2);
+  PartialSchedule state = PartialSchedule::empty(ctx);
+  state.place(ctx, 0, 0);
+  const auto begin = [&](CertificateBuilder& b) {
+    b.begin(ctx, 1, true, 0.0, "test");
+  };
+
+  CertificateBuilder exact(2);
+  begin(exact);
+  exact.record_cut(ctx, state, CutRule::kLB1, 5);
+  exact.record_cut(ctx, state, CutRule::kLB1, 6);
+  EXPECT_EQ(exact.cut_count(), 2u);
+  EXPECT_FALSE(exact.take().truncated);
+
+  CertificateBuilder over(2);
+  begin(over);
+  for (int i = 0; i < 3; ++i) over.record_cut(ctx, state, CutRule::kLB1, i);
+  EXPECT_EQ(over.cut_count(), 2u);
+  std::vector<CutRecord> cuts;
+  std::vector<DegradeRecord> degrades;
+  bool truncated = false;
+  over.export_state(cuts, degrades, truncated);
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(cuts.size(), 2u);
+  const Certificate cert = over.take();
+  EXPECT_TRUE(cert.truncated);
+  EXPECT_EQ(cert.cuts.size(), 2u);
+
+  // begin() starts a fresh, untruncated log.
+  begin(over);
+  over.record_cut(ctx, state, CutRule::kLB1, 7);
+  EXPECT_EQ(over.cut_count(), 1u);
+  EXPECT_FALSE(over.take().truncated);
+
+  CertificateBuilder resumed(2);
+  begin(resumed);
+  resumed.restore_state(cuts, degrades, /*truncated=*/false);
+  EXPECT_EQ(resumed.cut_count(), 2u);
+  resumed.record_cut(ctx, state, CutRule::kLB1, 8);
+  EXPECT_EQ(resumed.cut_count(), 2u);
+  EXPECT_TRUE(resumed.take().truncated);
 }
 
 }  // namespace

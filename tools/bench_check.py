@@ -5,7 +5,9 @@ Two formats are auto-detected:
 
 * parabb-bench-v1 (the repo's own harnesses, e.g. micro_lower_bound
   --json): named tables of header + string rows, numeric cells carrying
-  k/M/G magnitude suffixes and "x" speedup suffixes.
+  k/M/G magnitude suffixes and "x" speedup suffixes. The "host" block
+  (nproc, cpu_model, compiler, build_type) is informational and not
+  compared: timings are only comparable between runs on the same host.
 * google-benchmark JSON (micro_bench / micro_service --benchmark_out):
   a "benchmarks" array with per-benchmark real_time/cpu_time.
 

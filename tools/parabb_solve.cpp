@@ -26,6 +26,7 @@
 #include "parabb/bnb/parallel_engine.hpp"
 #include "parabb/bnb/search_obs.hpp"
 #include "parabb/deadline/slicing.hpp"
+#include "parabb/experiments/report.hpp"
 #include "parabb/robust/fault.hpp"
 #include "parabb/sched/edf.hpp"
 #include "parabb/sched/etf.hpp"
@@ -67,22 +68,6 @@ extern "C" void handle_sigterm(int) {
   }
 }
 
-JsonValue table_to_json(const TextTable& table) {
-  JsonValue out = JsonValue::object();
-  JsonValue header = JsonValue::array();
-  for (const std::string& cell : table.header()) header.push_back(cell);
-  out.set("header", std::move(header));
-  JsonValue rows = JsonValue::array();
-  for (const auto& row : table.rows()) {
-    if (row.empty()) continue;
-    JsonValue r = JsonValue::array();
-    for (const std::string& cell : row) r.push_back(cell);
-    rows.push_back(std::move(r));
-  }
-  out.set("rows", std::move(rows));
-  return out;
-}
-
 /// parabb-bench-v1 record for --stats-json: one metric/value table with
 /// every SearchStats counter (driven by the bnb/search_obs field table,
 /// so new counters show up here automatically) plus the run verdict.
@@ -103,9 +88,7 @@ void write_stats_json(const std::string& path, const std::string& algo,
   t.add_row({"proved", proved ? "1" : "0"});
   t.add_row({"algo", algo});
 
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", "parabb-bench-v1");
-  doc.set("bench", "parabb_solve");
+  JsonValue doc = bench_document("parabb_solve");
   JsonValue tables = JsonValue::object();
   tables.set("solve", table_to_json(t));
   doc.set("tables", std::move(tables));
